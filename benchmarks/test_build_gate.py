@@ -15,11 +15,19 @@ build engines the filter genuinely removes work (that is its job), so
 instead of charge equality the gate requires the charged work to go
 *down* and the wall-clock to improve by at least 2x at full scale.
 
+Hilbert gate: codes 2D points with ``hilbert_codes`` and with the
+per-bit reference loop kept in ``tests/_hilbert_reference.py``, at the
+size of one routed insert batch (8 points) and of a sharded build
+(20,000 points).  The codes must be **bitwise-identical**
+unconditionally, and at full scale ``hilbert_codes`` must be at least
+2x faster at both sizes.
+
 Results land in ``BENCH_build.json`` at the repo root.
 """
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -30,14 +38,20 @@ from repro.bench import bench_scale
 from repro.hull import quickhull2d_seq
 from repro.kdtree import KDTree
 from repro.parlay import tracker
+from repro.spatialsort import hilbert_codes
 
 from conftest import data, run_once
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests._hilbert_reference import reference_hilbert_codes  # noqa: E402
+
 BUILD_N = bench_scale(100_000)
 HULL_N = bench_scale(200_000)
+HILBERT_NS = (8, bench_scale(20_000))
 FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 MIN_BUILD_RATIO = 3.0
 MIN_HULL_RATIO = 2.0
+MIN_HILBERT_RATIO = 2.0
 REPEATS = 3
 
 _records: dict[str, dict] = {}
@@ -175,6 +189,47 @@ def test_hull_filter_ratio(benchmark):
     run_once(benchmark, lambda: None)
 
 
+def _per_call(fn, n):
+    """Best-of-REPEATS wall clock per call, over loops of ~0.1 s."""
+    calls = max(1, 400_000 // max(n, 2_000))
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
+def test_hilbert_codes_ratio(benchmark):
+    """Routing-sized Hilbert coding vs the per-bit reference loop."""
+    pts = data("2D-U-20000")
+    bits = 62 // 2
+    bounds = (pts.min(axis=0), pts.max(axis=0))
+    for n in HILBERT_NS:
+        sub = pts[:n]
+        got = hilbert_codes(sub, bits=bits, bounds=bounds)
+        want = reference_hilbert_codes(sub, bits, bounds)
+        # the transform is a wall-clock optimization only
+        assert np.array_equal(got, want), f"n={n}: codes diverged"
+
+        t_ref = _per_call(lambda: reference_hilbert_codes(sub, bits, bounds), n)
+        t_new = _per_call(lambda: hilbert_codes(sub, bits=bits, bounds=bounds), n)
+        ratio = t_ref / t_new if t_new > 0 else float("inf")
+        _records[f"hilbert_codes_2D_n{n}"] = {
+            "kind": "wall", "n": n, "dims": 2, "bits": bits,
+            "reference_s": t_ref, "hilbert_codes_s": t_new, "speedup": ratio,
+        }
+        print(f"\nhilbert_codes 2D n={n}: reference {t_ref * 1e3:.3f} ms, "
+              f"hilbert_codes {t_new * 1e3:.3f} ms -> {ratio:.2f}x")
+        if FULL_SCALE:
+            assert ratio >= MIN_HILBERT_RATIO, (
+                f"hilbert_codes only {ratio:.2f}x faster at n={n} "
+                f"(gate requires >= {MIN_HILBERT_RATIO}x at full scale)"
+            )
+    run_once(benchmark, lambda: None)
+
+
 def teardown_module(module):
     if not _records:
         return
@@ -182,11 +237,13 @@ def teardown_module(module):
     out = root / "BENCH_build.json"
     payload = {
         "benchmark": "construction engines: batched vs recursive build, "
-                     "Akl-Toussaint filter-first hull",
+                     "Akl-Toussaint filter-first hull, Hilbert coding vs "
+                     "the per-bit reference",
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
         "gates": {
             "min_build_speedup": MIN_BUILD_RATIO,
             "min_hull_speedup": MIN_HULL_RATIO,
+            "min_hilbert_speedup": MIN_HILBERT_RATIO,
             "identical_outputs": "unconditional",
             "identical_build_charges": "unconditional",
         },

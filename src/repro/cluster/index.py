@@ -54,6 +54,14 @@ __all__ = ["ShardedIndex"]
 _TOUCH_BUCKETS = tuple(i / 16 for i in range(1, 17))
 
 
+def _check_finite(pts: np.ndarray) -> None:
+    """Reject NaN/inf coordinates before they reach routing: they have
+    no Hilbert code, would poison a shard's bounding box, and a NaN
+    point could never be erased again (NaN != NaN)."""
+    if not np.isfinite(pts).all():
+        raise ValueError("ShardedIndex points must have finite coordinates")
+
+
 class ShardedIndex:
     """A Hilbert-sharded, batch-dynamic spatial index.
 
@@ -100,6 +108,7 @@ class ShardedIndex:
         n, d = pts.shape
         if n == 0:
             raise ValueError("ShardedIndex needs a non-empty build set")
+        _check_finite(pts)
         if skew_threshold <= 1.0:
             raise ValueError("skew_threshold must be > 1")
         self.dim = d
@@ -144,7 +153,7 @@ class ShardedIndex:
         )
 
         gids = np.arange(n, dtype=np.int64)
-        owner = self.part.route(pts)
+        owner = self.part.owners(self.part.build_codes)
         S = self.part.n_shards
         with span("cluster.build", cat="cluster", batch=n, shards=S):
             self.shards: list[Shard] = get_scheduler().parallel_do(
@@ -478,6 +487,7 @@ class ShardedIndex:
         pts = as_array(points)
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
+        _check_finite(pts)
         me = len(pts)
         if gids is None:
             gids = np.arange(self.next_gid, self.next_gid + me, dtype=np.int64)
@@ -520,6 +530,7 @@ class ShardedIndex:
         pts = as_array(points)
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
+        _check_finite(pts)
         if len(pts) == 0:
             return 0
         with span("cluster.erase", cat="cluster", batch=len(pts)):
@@ -566,12 +577,14 @@ class ShardedIndex:
         pts, gids = self.shards[s].gather()
         if len(pts) < 2:
             return False
-        v = self.part.split_value(pts)
+        codes = self.part.codes(pts)
+        v = self.part.split_code(codes)
         if v is None:
             return False  # single-code shard: unsplittable
         self.part.insert_threshold(v, s)
-        owner = self.part.route(pts)  # yields s (left) or s + 1 (right)
-        left = owner == s
+        # the members' codes lie in (thresholds[s-1], thresholds[s+1]],
+        # so those <= v now route to s and the rest to s + 1
+        left = codes <= v
         mk = lambda sel: Shard(
             self.dim,
             pts[sel],

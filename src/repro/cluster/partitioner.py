@@ -25,6 +25,11 @@ tree:
 Rebalancing inserts new thresholds (see :meth:`split_value`): a
 threshold drawn from a shard's own codes keeps the array sorted and
 splits exactly that shard in two.
+
+Coding is the costly step, so each point set is coded once: the build
+set's codes stay on the partitioner (:attr:`build_codes`) for the index
+to derive owners from, and the code-level methods (:meth:`owners`,
+:meth:`split_code`) let a caller that already holds codes reuse them.
 """
 
 from __future__ import annotations
@@ -64,8 +69,10 @@ class HilbertPartitioner:
         self.bits = bits if bits is not None else max(1, 62 // d)
         self.lo = pts.min(axis=0).astype(np.float64)
         self.hi = pts.max(axis=0).astype(np.float64)
+        #: Hilbert codes of the build set, in input order
+        self.build_codes = self.codes(pts)
 
-        sc = np.sort(self.codes(pts))
+        sc = np.sort(self.build_codes)
         cuts: list[int] = []
         prev = np.uint64(0)
         for j in range(1, n_shards):
@@ -89,20 +96,28 @@ class HilbertPartitioner:
         """Hilbert codes under the frozen bounds/bits (mutation-stable)."""
         return hilbert_codes(points, bits=self.bits, bounds=(self.lo, self.hi))
 
-    def route(self, points) -> np.ndarray:
-        """Owning shard index of each point (int64, in [0, n_shards))."""
-        c = self.codes(points)
+    def owners(self, codes: np.ndarray) -> np.ndarray:
+        """Owning shard index of each code (int64, in [0, n_shards))."""
         # shard i owns (thresholds[i-1], thresholds[i]]: the shard index
         # is the number of thresholds strictly below the code
-        return np.searchsorted(self.thresholds, c, side="left").astype(np.int64)
+        return np.searchsorted(self.thresholds, codes, side="left").astype(np.int64)
+
+    def route(self, points) -> np.ndarray:
+        """Owning shard index of each point (int64, in [0, n_shards))."""
+        return self.owners(self.codes(points))
 
     def split_value(self, member_points) -> np.uint64 | None:
-        """A threshold value splitting one shard's members near-evenly.
+        """A threshold value splitting one shard's members near-evenly
+        (:meth:`split_code` over the members' codes)."""
+        return self.split_code(self.codes(member_points))
+
+    def split_code(self, codes: np.ndarray) -> np.uint64 | None:
+        """A threshold value splitting one shard's member codes near-evenly.
 
         Returns the code of the last point that stays on the left, or
         None when the members share a single code (unsplittable).
         """
-        sc = np.sort(self.codes(member_points))
+        sc = np.sort(codes)
         n = len(sc)
         pos = n // 2
         while 0 < pos < n and sc[pos] == sc[pos - 1]:

@@ -23,6 +23,12 @@ from repro.cluster import (
 from repro.kdtree import KDTree
 from repro.kdtree.batch import batched_range_query_ball_batch
 
+from ._hilbert_reference import (
+    reference_hilbert_codes,
+    reference_owners,
+    reference_thresholds,
+)
+
 SHARD_COUNTS = (1, 2, 7, 16)
 
 
@@ -300,6 +306,79 @@ class TestShardedIndexBookkeeping:
             ShardedIndex(np.empty((0, 2)), 4)
         with pytest.raises(ValueError):
             ShardedIndex(rng.uniform(0, 1, (10, 2)), 2, skew_threshold=1.0)
+
+
+class TestNonFiniteRejected:
+    """A NaN/inf coordinate has no Hilbert code and would poison the
+    owning shard's bounding box, so plan_ball would skip that shard."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_build_insert_erase_raise_and_leave_index_untouched(self, rng, bad):
+        pts = rng.uniform(0, 1, (2000, 2))
+        with pytest.raises(ValueError):
+            ShardedIndex(np.vstack([pts, [[bad, 0.5]]]), 8)
+
+        idx = ShardedIndex(pts, 8)
+        center, radius = np.array([0.5, 0.5]), 0.5
+        want = np.flatnonzero(np.sum((pts - center) ** 2, axis=1) <= radius**2)
+        assert np.array_equal(idx.range_query_ball(center, radius), want)
+        version, next_gid = idx.version, idx.next_gid
+        sizes, (lo, hi) = idx.shard_sizes(), idx._boxes()
+
+        with pytest.raises(ValueError):
+            idx.insert([[bad, 0.5]])
+        with pytest.raises(ValueError):  # one bad row rejects the batch
+            idx.insert(np.vstack([pts[:3] + 0.01, [[0.5, bad]]]))
+        with pytest.raises(ValueError):
+            idx.erase(np.vstack([pts[:3], [[bad, bad]]]))
+
+        assert idx.version == version and idx.next_gid == next_gid
+        assert idx.shard_sizes() == sizes
+        assert np.array_equal(idx._boxes()[0], lo)
+        assert np.array_equal(idx._boxes()[1], hi)
+        assert np.array_equal(idx.range_query_ball(center, radius), want)
+
+
+class TestRoutingMatchesReference:
+    """Thresholds and owners derived from the reference Hilbert loop
+    (``tests/_hilbert_reference.py``) equal the index's own."""
+
+    def test_thresholds_and_owners_through_build_insert_split(self, rng):
+        base = rng.uniform(0, 10, (1500, 2))
+        pts = np.vstack([base, np.repeat(base[:20], 10, axis=0)])  # dup runs
+        idx = ShardedIndex(pts, 8)
+        part = idx.part
+        bounds = (part.lo, part.hi)
+
+        def ref_codes(p):
+            return reference_hilbert_codes(p, part.bits, bounds)
+
+        def assert_owners_match():
+            for s, shard in enumerate(idx.shards):
+                members, _ = shard.gather()
+                owners = reference_owners(ref_codes(members), part.thresholds)
+                assert np.all(owners == s), f"shard {s} holds foreign points"
+
+        codes = ref_codes(pts)
+        assert np.array_equal(part.build_codes, codes)
+        assert np.array_equal(part.thresholds,
+                              reference_thresholds(np.sort(codes), 8))
+        assert_owners_match()
+
+        # inserts, some outside the frozen box, route like the reference
+        idx.insert(np.vstack([rng.uniform(0, 10, (200, 2)),
+                              rng.uniform(-5, 15, (50, 2))]))
+        assert_owners_match()
+
+        # a forced split cuts the shard at its members' median reference
+        # code: the two-way balanced cut of those codes
+        s = int(np.argmax(idx.shard_sizes()))
+        members, _ = idx.shards[s].gather()
+        v = reference_thresholds(np.sort(ref_codes(members)), 2)[0]
+        before = part.thresholds.copy()
+        assert idx._split_shard(s)
+        assert np.array_equal(part.thresholds, np.insert(before, s, v))
+        assert_owners_match()
 
 
 class TestKnnHome:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from repro.bdl import BDLTree
@@ -12,6 +14,12 @@ from repro.spatialsort import (
     hilbert_codes,
     hilbert_sort,
     morton_sort,
+)
+from repro.spatialsort.hilbert import _transpose_to_hilbert_int
+
+from ._hilbert_reference import (
+    reference_hilbert_codes,
+    reference_transpose_to_hilbert_int,
 )
 
 
@@ -70,6 +78,78 @@ class TestHilbert:
     def test_deterministic(self, rng):
         pts = rng.normal(size=(100, 3))
         assert np.array_equal(hilbert_codes(pts), hilbert_codes(pts))
+
+    def test_golden_2d_4x4(self):
+        """Exact codes pin the curve's orientation and axis order, which
+        bijection and connectivity alone would not notice changing."""
+        g = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+        assert hilbert_codes(g, bits=2).reshape(4, 4).tolist() == [
+            [0, 3, 4, 5],
+            [1, 2, 7, 6],
+            [14, 13, 8, 9],
+            [15, 12, 11, 10],
+        ]
+
+    def test_golden_3d_2x2x2(self):
+        g = np.array(
+            [[x, y, z] for x in range(2) for y in range(2) for z in range(2)],
+            dtype=float,
+        )
+        assert hilbert_codes(g, bits=1).tolist() == [0, 1, 3, 2, 7, 6, 4, 5]
+
+
+def _quantized(rng, n, d, bits):
+    """(n, d) coordinates of ``bits`` bits, rich in 0 and 2^bits - 1."""
+    top = (1 << bits) - 1
+    x = rng.integers(0, top, size=(n, d), endpoint=True, dtype=np.uint64)
+    x[rng.random((n, d)) < 0.2] = 0
+    x[rng.random((n, d)) < 0.2] = top
+    if n >= 2:
+        x[0], x[1] = 0, top
+    return x
+
+
+class TestHilbertMatchesReference:
+    """The array-speed transform against the per-bit reference loop kept
+    in ``tests/_hilbert_reference.py``: codes must agree bitwise."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_every_bits_width(self, d):
+        rng = np.random.default_rng(d)
+        for bits in range(1, 63 // d + 1):
+            for n in (0, 1, 7, 300):
+                x = _quantized(rng, n, d, bits)
+                before = x.copy()
+                got = _transpose_to_hilbert_int(x, bits)
+                want = reference_transpose_to_hilbert_int(x, bits)
+                assert got.dtype == np.uint64 and got.shape == (n,)
+                assert np.array_equal(got, want), (d, bits, n)
+                assert np.array_equal(x, before), "input was modified"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_bitwise_equal(self, data):
+        d = data.draw(st.integers(2, 8), label="d")
+        bits = data.draw(st.integers(1, 63 // d), label="bits")
+        n = data.draw(st.sampled_from([0, 1, 2, 5, 17, 1000]), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        x = _quantized(np.random.default_rng(seed), n, d, bits)
+        assert np.array_equal(
+            _transpose_to_hilbert_int(x, bits),
+            reference_transpose_to_hilbert_int(x, bits),
+        )
+
+    def test_float_path_with_frozen_bounds(self, rng):
+        """hilbert_codes end to end, including points clamped onto the
+        face of a frozen box and the default resolution."""
+        for d in (2, 3, 7):
+            pts = rng.normal(size=(500, d))
+            lo, hi = pts[:250].min(axis=0), pts[:250].max(axis=0)
+            bits = 62 // d
+            assert np.array_equal(
+                hilbert_codes(pts, bounds=(lo, hi)),
+                reference_hilbert_codes(pts, bits, (lo, hi)),
+            )
 
 
 class TestRadixSort:
