@@ -9,6 +9,20 @@ bitwise-identical neighbors and charge identical work/depth; at full
 scale (``REPRO_BENCH_SCALE >= 1``) the batched engine must also be at
 least 5x faster, which is the point of having it.
 
+Small-batch gate: the serving path issues tree calls of one or a few
+queries, where the default path's size rule
+(``repro.kdtree.batch.resolve_engine``) must pick the per-query walk.
+On a 1,250-point tree (one shard of the 16-shard serving index) and a
+20K-point tree it times k-NN (k=8) batches of m=1 and m=64 through the
+default path and through the lock-step engine.  Rows and charges must
+be equal; at full scale the default path must be >= 2x faster at m=1
+and no slower at m=64, where both run the lock-step engine.  Speedups
+are medians of per-pass-pair ratios over 9 alternating pairs.  The
+1.25x allowance at m=64 is host noise (best-of-N minima of identical
+code differed by up to 1.41x on a shared 2-vCPU VM); walking m=64
+would measure about 1.4x.  The record lands in ``BENCH_knn.json``
+under ``small_batch`` with ``kind: wall``.
+
 Service gate: replays a 10k-request mixed kNN/range trace through
 ``repro.serve.GeometryService`` and requires (at full scale) coalesced
 throughput >= 5x the one-request-at-a-time recursive loop, plus a cache
@@ -49,6 +63,7 @@ import numpy as np
 
 from repro.bench import bench_scale, measure_engines
 from repro.kdtree import KDTree, knn
+from repro.parlay import tracker
 from repro.serve import GeometryService, replay, run_unbatched, synthetic_trace
 
 from conftest import data, run_once
@@ -57,6 +72,12 @@ N = bench_scale(50_000)
 K = 10
 FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 MIN_RATIO = 5.0
+
+SMALL_TREES = (bench_scale(1_250), bench_scale(20_000))
+SMALL_K = 8
+SMALL_BATCHES = 20                     # query batches per timing pass
+MIN_SMALL_M1_SPEEDUP = 2.0             # default vs lock-step at m=1
+MAX_SMALL_M64_RATIO = 1.25             # default / lock-step at m=64
 
 SERVE_N = bench_scale(20_000)          # points served
 SERVE_REQUESTS = bench_scale(10_000)   # trace length
@@ -80,6 +101,7 @@ MIN_PROCS_SPEEDUP = 1.5                # measured, at >= 4 workers
 MIN_PROCS_CORES = 4                    # wall-clock gate needs real cores
 
 _records: dict[str, dict] = {}
+_small_records: dict[str, dict] = {}
 _serve_records: dict[str, dict] = {}
 _obs_records: dict[str, dict] = {}
 _cluster_records: dict[str, dict] = {}
@@ -117,6 +139,76 @@ def test_knn_2d_engine_ratio(benchmark):
 
 def test_knn_7d_engine_ratio(benchmark):
     _bench(benchmark, "7D-U")
+
+
+def _costed_knn(tree, qs, engine):
+    tracker.reset()
+    d, i = knn(tree, qs, SMALL_K, engine=engine)
+    cost = tracker.total()
+    tracker.reset()
+    return d, i, cost
+
+
+def _timed_knn(tree, batches) -> dict:
+    """Per-pass seconds per batch for the default path (None) and the
+    lock-step engine over 9 back-to-back pass pairs, alternating which
+    side runs first, so a slow stretch of the host hits both sides of a
+    pair alike."""
+    times = {None: [], "batched": []}
+    for p in range(9):
+        for engine in (None, "batched") if p % 2 == 0 else ("batched", None):
+            t0 = time.perf_counter()
+            for qs in batches:
+                knn(tree, qs, SMALL_K, engine=engine)
+            times[engine].append((time.perf_counter() - t0) / len(batches))
+    return times
+
+
+def test_small_batch_engine_choice(benchmark):
+    """The default path runs single-request tree calls at walk speed."""
+    pts = data(f"2D-U-{SMALL_TREES[-1]}")
+    rng = np.random.default_rng(3)
+    runs = {}
+    for n in SMALL_TREES:
+        tree = KDTree(pts[:n])
+        lo, hi = pts[:n].min(axis=0), pts[:n].max(axis=0)
+        for m in (1, 64):
+            batches = [rng.uniform(lo, hi, (m, 2)) for _ in range(SMALL_BATCHES)]
+            for qs in batches:
+                d0, i0, c0 = _costed_knn(tree, qs, None)
+                d1, i1, c1 = _costed_knn(tree, qs, "batched")
+                assert np.array_equal(d0, d1) and np.array_equal(i0, i1)
+                assert c0.work == c1.work
+                assert np.isclose(c0.depth, c1.depth, rtol=1e-9)
+            times = _timed_knn(tree, batches)
+            t_def = float(np.median(times[None]))
+            t_bat = float(np.median(times["batched"]))
+            # median of the per-pair ratios: robust to host drift
+            speedup = float(np.median(np.divide(times["batched"], times[None])))
+            runs[f"n={n} m={m}"] = {
+                "n": n, "m": m, "k": SMALL_K,
+                "default_ms": t_def * 1e3,
+                "lockstep_ms": t_bat * 1e3,
+                "speedup": speedup,
+            }
+            print(f"\nsmall batch n={n} m={m}: default {t_def * 1e3:.3f} ms, "
+                  f"lock-step {t_bat * 1e3:.3f} ms (paired {speedup:.2f}x)")
+    _small_records.update(runs)
+    if FULL_SCALE:
+        for r in runs.values():
+            if r["m"] == 1:
+                assert r["speedup"] >= MIN_SMALL_M1_SPEEDUP, (
+                    f"default path only {r['speedup']:.2f}x faster than the "
+                    f"lock-step engine at m=1, n={r['n']} "
+                    f"(gate: >= {MIN_SMALL_M1_SPEEDUP}x)"
+                )
+            else:
+                assert 1.0 / r["speedup"] <= MAX_SMALL_M64_RATIO, (
+                    f"default path {1.0 / r['speedup']:.2f}x the lock-step "
+                    f"engine's time at m=64, n={r['n']} "
+                    f"(gate: <= {MAX_SMALL_M64_RATIO}x)"
+                )
+    run_once(benchmark, lambda: None)
 
 
 def _assert_results_equal(served, baseline):
@@ -397,12 +489,21 @@ def test_procs_measured_speedup(benchmark):
 def teardown_module(module):
     root = Path(__file__).resolve().parent.parent
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    if _records:
+    if _records or _small_records:
         out = root / "BENCH_knn.json"
         payload = {
             "benchmark": "self-kNN, batched vs recursive query engine",
             "scale": scale,
             "datasets": _records,
+            "small_batch": {
+                "kind": "wall",
+                "cpu_count": os.cpu_count(),
+                "what": "k-NN tree calls of m queries: default path "
+                        "(size rule) vs the lock-step engine",
+                "gates": {"min_m1_speedup": MIN_SMALL_M1_SPEEDUP,
+                          "max_m64_ratio": MAX_SMALL_M64_RATIO},
+                "runs": _small_records,
+            },
         }
         out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {out}")

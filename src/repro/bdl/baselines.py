@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.points import as_array
+from ..kdtree.delete import _match_rows
 from ..kdtree.knnbuffer import KNNBuffer
 from ..kdtree.tree import KDTree, OBJECT_MEDIAN, SPATIAL_MEDIAN
 from ..parlay.scheduler import get_scheduler
@@ -57,8 +58,6 @@ class RebuildTree:
         q = as_array(points)
         if len(q) == 0 or len(self.pts) == 0:
             return 0
-        from .bdltree import _match_rows
-
         hit = _match_rows(self.pts, q)
         k = int(np.count_nonzero(hit))
         if k:
@@ -303,8 +302,6 @@ class InPlaceTree:
         if node.is_leaf:
             if node.n == 0:
                 return 0
-            from .bdltree import _match_rows
-
             pts = node.buf[: node.n]
             alive = node.balive[: node.n]
             hit = _match_rows(pts, q) & alive

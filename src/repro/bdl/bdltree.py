@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _touched
 from ..core.points import as_array
+from ..kdtree.delete import _match_rows
 from ..kdtree.knnbuffer import KNNBuffer
 from ..kdtree.tree import KDTree, OBJECT_MEDIAN
 from ..parlay.scheduler import get_scheduler
@@ -316,25 +317,30 @@ class BDLTree:
         Returns (squared distances, global ids), each (m, k) sorted by
         distance per row.  ``engine`` selects the per-tree search
         strategy (vectorized "batched" frontier vs per-query
-        "recursive" walk); results and charges are identical.
+        "recursive" walk); ``None`` picks by batch size
+        (:func:`~repro.kdtree.batch.resolve_engine`).  Results and
+        charges are identical.
 
         ``bound`` is an optional per-query *exclusive* squared-distance
         cutoff: candidates at ``d2 >= bound[i]`` are pruned and rows
         may come back underfull (inf/-1 padded).  A sharded index's
         fan-out phase uses it so shards outside the candidate ball
-        prune near the root instead of running a full search.  It is a
-        pruning hint only honored by the batched engine; the recursive
-        path ignores it (returning a superset is equally correct for
-        callers that merge).
+        prune near the root instead of running a full search.  Both
+        engines honour it: a seeded row keeps pruning while underfull.
         """
         from ..kdtree.batch import resolve_engine
 
-        if resolve_engine(engine) == "batched":
-            return self._knn_batched(queries, k, exclude_self, bound)
         qs = as_array(queries)
         m = len(qs)
+        if resolve_engine(engine, m, "knn") == "batched":
+            return self._knn_batched(qs, k, exclude_self, bound)
         kk = k + 1 if exclude_self else k
         buffers = [KNNBuffer(kk) for _ in range(m)]
+        if bound is not None:
+            # seed the pruning bound: the search only ever tightens it
+            seeds = np.broadcast_to(np.asarray(bound, dtype=np.float64), (m,))
+            for b, r in zip(buffers, seeds):
+                b.bound = float(r)
 
         # iterate over the non-empty trees sequentially; each k-NN call
         # is internally data-parallel and reuses the same buffers
@@ -451,7 +457,7 @@ class BDLTree:
         tree), so row ``i`` is bitwise-identical to
         ``range_query_box(los[i], his[i])``.
         """
-        from ..kdtree.batch import batched_range_query_batch
+        from ..kdtree.range_search import range_query_batch
 
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
@@ -459,7 +465,7 @@ class BDLTree:
         parts: list[list[np.ndarray]] = [[] for _ in range(m)]
         for t in self.trees:
             if t is not None and t.size() > 0:
-                for i, local in enumerate(batched_range_query_batch(t, los, his)):
+                for i, local in enumerate(range_query_batch(t, los, his)):
                     if len(local):
                         parts[i].append(t.gids[local])
         if len(self.buf_pts):
@@ -477,7 +483,7 @@ class BDLTree:
 
     def range_query_ball_batch(self, centers, radii) -> list[np.ndarray]:
         """Per-query global ids for a batch of ball queries."""
-        from ..kdtree.batch import batched_range_query_ball_batch
+        from ..kdtree.range_search import range_query_ball_batch
 
         cs = np.asarray(centers, dtype=np.float64)
         m = len(cs)
@@ -485,9 +491,7 @@ class BDLTree:
         parts: list[list[np.ndarray]] = [[] for _ in range(m)]
         for t in self.trees:
             if t is not None and t.size() > 0:
-                for i, local in enumerate(
-                    batched_range_query_ball_batch(t, cs, rr)
-                ):
+                for i, local in enumerate(range_query_ball_batch(t, cs, rr)):
                     if len(local):
                         parts[i].append(t.gids[local])
         if len(self.buf_pts):
@@ -501,11 +505,3 @@ class BDLTree:
             np.concatenate(p) if p else np.empty(0, dtype=np.int64) for p in parts
         ]
 
-
-def _match_rows(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Mask over pts rows exactly matching some row of q."""
-    if len(q) * len(pts) <= 4096:
-        return (pts[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)
-    pv = np.ascontiguousarray(pts).view([("", pts.dtype)] * pts.shape[1]).ravel()
-    qv = np.ascontiguousarray(q).view([("", q.dtype)] * q.shape[1]).ravel()
-    return np.isin(pv, qv)

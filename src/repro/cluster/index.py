@@ -38,7 +38,6 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _touched
 from ..core.points import as_array
-from ..kdtree.batch import resolve_engine
 from ..obs.registry import MetricsRegistry
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
@@ -270,7 +269,6 @@ class ShardedIndex:
         Rows are sorted by distance with ties broken by ascending global
         id — the canonical merge order, independent of the sharding.
         """
-        engine = resolve_engine(engine)
         qs = as_array(queries)
         m = len(qs)
         kk = k + 1 if exclude_self else k
@@ -367,7 +365,6 @@ class ShardedIndex:
         than ``k`` points.  Callers must label results as approximate —
         the serving layer never returns them unlabelled.
         """
-        engine = resolve_engine(engine)
         qs = as_array(queries)
         m = len(qs)
         kk = k + 1 if exclude_self else k

@@ -9,9 +9,7 @@ from .batch import (
     BatchKNNBuffers,
     batched_knn,
     batched_knn_into,
-    default_engine,
     resolve_engine,
-    set_default_engine,
 )
 from .build import (
     BUILD_ENGINES,
@@ -44,12 +42,10 @@ __all__ = [
     "batched_knn_into",
     "build_batched",
     "default_build_engine",
-    "default_engine",
     "erase",
     "resolve_build_engine",
     "resolve_engine",
     "set_default_build_engine",
-    "set_default_engine",
     "extract_knn_results",
     "hyperceiling",
     "knn",

@@ -27,9 +27,11 @@ def all_nearest_neighbors(points, engine: str | None = None) -> tuple[np.ndarray
     Returns (dists, ids): Euclidean distance and index of each point's
     nearest other point.
 
-    ``engine="batched"`` (default) runs the whole point set as one
-    vectorized 1-NN batch over the frontier engine, banning each
-    query's own id so duplicates still pair up with each other;
+    ``engine="batched"`` (default; ``None`` too, as the point set is one
+    whole-set batch, not a request batch for the size rule) runs the
+    whole point set as one vectorized 1-NN batch over the frontier
+    engine, banning each query's own id so duplicates still pair up
+    with each other;
     ``engine="recursive"`` uses the classic dual-tree traversal.
     """
     from .batch import BatchKNNBuffers, batched_knn_into, resolve_engine
@@ -38,7 +40,7 @@ def all_nearest_neighbors(points, engine: str | None = None) -> tuple[np.ndarray
     n = len(pts)
     if n < 2:
         raise ValueError("need at least 2 points")
-    if resolve_engine(engine) == "batched":
+    if resolve_engine(engine or "batched", n, "knn") == "batched":
         tree = KDTree(pts, leaf_size=16)
         buf = BatchKNNBuffers(n, 1)
         batched_knn_into(tree, pts, buf, ban=np.arange(n, dtype=np.int64))

@@ -28,13 +28,28 @@ with :func:`repro.parlay.workdepth.charge_blocked` using the *same*
 block structure the recursive path hands to the scheduler — so the
 simulated-speedup numbers are unchanged: only wall-clock drops.
 
-The engine is selected with ``engine="batched" | "recursive"`` on the
-query entry points, defaulting to ``REPRO_QUERY_ENGINE`` (batched).
+**Engine choice by batch size.**  The lock-step engine pays a fixed
+numpy dispatch cost per step for the whole frontier, so it wins once a
+tree call carries enough queries to amortize it; the per-query walk
+pays interpreter cost per visited node and wins on tiny batches.  The
+serving path is dominated by tiny batches: a traced wallbench run
+answers 1.05 (``stream_views``) to 1.15 (``load_zipf``) requests per
+front-end batch, and each shard sees a slice of that.  With
+``engine=None`` every query entry point asks :func:`resolve_engine`,
+which walks below :data:`WALK_BELOW` queries per tree call and runs
+the lock-step engine from there on.  There is one cutoff per kernel
+family, from the measured crossover (table in DESIGN.md): for k=8 in
+2D a single kNN query walks in 0.2 ms against 1.5 ms in lock step and
+the two meet between 32 and 48 queries.  Box queries meet near 2 and
+ball queries never favour the walk; a box plus a ball still walk 10-16%
+faster than in lock step, so range walks single queries only.
+Both engines return identical rows and charges, so the rule only moves
+wall-clock time.  An explicit ``engine="batched" | "recursive"``
+bypasses the rule (tests, ablations,
+:func:`repro.bench.measure_engines`).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -42,51 +57,42 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.primitives import query_blocks
 from ..parlay.workdepth import charge, charge_blocked
+from .range_search import range_query_ball_batch, range_query_batch
 from .tree import KDTree
 
 __all__ = [
     "ENGINES",
+    "WALK_BELOW",
     "BatchKNNBuffers",
     "batched_allnn_on_tree",
     "batched_knn",
     "batched_knn_into",
     "batched_range_query_batch",
     "batched_range_query_ball_batch",
-    "default_engine",
     "execute_requests",
     "resolve_engine",
-    "set_default_engine",
 ]
 
 #: Recognized query engines.
 ENGINES = ("batched", "recursive")
 
-_default_engine = os.environ.get("REPRO_QUERY_ENGINE", "batched")
+#: Per kernel family, the tree-call batch size below which the
+#: per-query walk beats the lock-step engine, from the measured
+#: crossover (2D, k=8; table in DESIGN.md): k-NN crosses between m=32
+#: and m=48; for range, box crosses near m=2 to 3 while ball never
+#: wins by walking, and walking m=1 still wins on a box + ball pair.
+WALK_BELOW = {"knn": 32, "range": 2}
 
 
-def default_engine() -> str:
-    """The engine used when a query is issued without ``engine=``."""
-    return _default_engine
+def resolve_engine(engine: str | None, m: int, family: str) -> str:
+    """The query engine for one tree call of ``m`` queries.
 
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default query engine."""
-    global _default_engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown query engine {name!r}; expected one of {ENGINES}")
-    _default_engine = name
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument, applying the default for None."""
+    An explicit ``engine`` is validated and returned.  ``None`` applies
+    the size rule: ``"recursive"`` (the per-query walk) when ``m`` is
+    below ``WALK_BELOW[family]``, else ``"batched"``.
+    """
     if engine is None:
-        engine = _default_engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown query engine {engine!r} (from REPRO_QUERY_ENGINE); "
-                f"expected one of {ENGINES}"
-            )
-        return engine
+        return "recursive" if m < WALK_BELOW[family] else "batched"
     if engine not in ENGINES:
         raise ValueError(f"unknown query engine {engine!r}; expected one of {ENGINES}")
     return engine
@@ -675,15 +681,14 @@ def batched_allnn_on_tree(tree: KDTree) -> tuple[np.ndarray, np.ndarray]:
 def _range_box_results(index, los: np.ndarray, his: np.ndarray) -> list[np.ndarray]:
     """Per-query global-id hits for a box batch on a KDTree or BDL index."""
     if isinstance(index, KDTree):
-        return [index.gids[ids] for ids in batched_range_query_batch(index, los, his)]
+        return [index.gids[ids] for ids in range_query_batch(index, los, his)]
     return index.range_query_box_batch(los, his)
 
 
 def _range_ball_results(index, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     if isinstance(index, KDTree):
         return [
-            index.gids[ids]
-            for ids in batched_range_query_ball_batch(index, centers, radii)
+            index.gids[ids] for ids in range_query_ball_batch(index, centers, radii)
         ]
     return index.range_query_ball_batch(centers, radii)
 
@@ -707,11 +712,12 @@ def execute_requests(index, requests, costs_out: list | None = None) -> list:
       requires a view-bearing dynamic dataset).
 
     Requests are grouped by ``(kind, params)`` preserving first-seen
-    order and each group runs as ONE vectorized shot through the
-    batched engine, so a mixed slab from the service's coalescer costs
-    a handful of numpy dispatches instead of one tree walk per request.
-    Results come back in input order and are bitwise-identical to
-    running each request alone through the recursive engine.
+    order and each group runs as ONE dispatch per tree, so a mixed slab
+    from the service's coalescer costs a handful of numpy dispatches
+    instead of one tree walk per request.  Each tree call picks its
+    engine from its own batch size (:func:`resolve_engine`).  Results
+    come back in input order and are bitwise-identical to running each
+    request alone through the recursive engine.
 
     ``index`` is a :class:`KDTree` or a BDL-style index exposing
     ``knn`` / ``range_query_box_batch`` / ``range_query_ball_batch``;
@@ -760,14 +766,13 @@ def execute_requests(index, requests, costs_out: list | None = None) -> list:
 
 
 def _run_group(index, requests, results, kind, params, idxs) -> None:
-    """One (kind, params) group as a single vectorized dispatch."""
+    """One (kind, params) group as a single dispatch."""
     if kind == "knn":
         qs = np.stack([np.asarray(requests[i][1], dtype=np.float64) for i in idxs])
         d, g = index.knn(
             qs,
             params["k"],
             exclude_self=params.get("exclude_self", False),
-            engine="batched",
         )
         for r, i in enumerate(idxs):
             results[i] = (d[r].copy(), g[r].copy())

@@ -124,10 +124,22 @@ def _erase_rec(tree: KDTree, idx: int, q: np.ndarray, deleted: _CountBox, sched)
 
 
 def _match_rows(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``pts`` rows that exactly equal some row of q."""
+    """Boolean mask over ``pts`` rows that exactly equal some row of q.
+
+    Equality is ``==`` on every coordinate.  Large inputs prefilter on
+    the first coordinate and match whole rows among the candidates
+    only, so a small batch against a large set never copies the set.
+    """
     if len(q) * len(pts) <= 4096:
         return (pts[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)
-    # large batches: hash rows through a void view + sorted membership
-    pv = np.ascontiguousarray(pts).view([("", pts.dtype)] * pts.shape[1]).ravel()
-    qv = np.ascontiguousarray(q).view([("", q.dtype)] * q.shape[1]).ravel()
-    return np.isin(pv, qv)
+    hit = np.isin(pts[:, 0], q[:, 0])
+    cand = np.flatnonzero(hit)
+    c = pts[cand]
+    if len(cand) * len(q) <= 4096:
+        hit[cand] = (c[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)
+    else:
+        # hash rows through a void view + sorted membership
+        cv = np.ascontiguousarray(c).view([("", c.dtype)] * c.shape[1]).ravel()
+        qv = np.ascontiguousarray(q).view([("", q.dtype)] * q.shape[1]).ravel()
+        hit[cand] = np.isin(cv, qv)
+    return hit

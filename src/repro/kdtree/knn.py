@@ -53,18 +53,21 @@ def _search(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> None:
 
     if second < 0 or tree.live[second] == 0:
         return
-    if not buf.full():
-        # fill up with nearby points as fast as possible (paper C.1.3)
+    if not buf.full() and buf.bound == np.inf:
+        # fill up with nearby points as fast as possible (paper C.1.3);
+        # a seeded bound (finite before the buffer fills) keeps pruning
         _search(tree, second, q, buf)
         return
-    lo, hi = tree.box_lo[second], tree.box_hi[second]
-    gap = np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
+    below = tree.box_lo[second] - q
+    above = q - tree.box_hi[second]
+    gap = np.maximum(below, 0.0) + np.maximum(above, 0.0)
     # einsum, not dot: the batched engine reduces rows with einsum, and
     # the two must round identically so tie-breaking pruning agrees
     dist2 = float(np.einsum("i,i->", gap, gap))
     if dist2 >= buf.bound:
         return  # disjoint from the k-NN ball: prune
-    far = np.maximum(np.abs(q - lo), np.abs(q - hi))
+    # |q - lo| == |lo - q| exactly, so the differences are reused
+    far = np.maximum(np.abs(below), np.abs(above))
     if float(np.einsum("i,i->", far, far)) < buf.bound:
         _ingest_subtree(tree, second, q, buf)  # wholly inside: take all
     else:
@@ -119,15 +122,17 @@ def knn(
     own points, else by zero distance) is excluded; callers should then
     ask for ``k`` true neighbors.
 
-    ``engine`` selects the execution strategy: ``"batched"`` (default)
-    runs the whole batch through the vectorized frontier engine of
+    ``engine`` selects the execution strategy: ``"batched"`` runs the
+    whole batch through the vectorized frontier engine of
     :mod:`repro.kdtree.batch`; ``"recursive"`` walks the tree once per
-    query.  Results and work/depth charges are identical.
+    query; ``None`` picks by batch size
+    (:func:`~repro.kdtree.batch.resolve_engine`).  Results and
+    work/depth charges are identical.
     """
     from .batch import batched_knn, resolve_engine
 
-    eng = resolve_engine(engine)
     qs = as_array(queries)
+    eng = resolve_engine(engine, len(qs), "knn")
     with span("kdtree.knn", batch=len(qs), k=k, engine=eng):
         if eng == "batched":
             return batched_knn(tree, qs, k, exclude_self)

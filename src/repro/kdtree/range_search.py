@@ -20,9 +20,10 @@ def _collect_box(tree: KDTree, idx: int, lo: np.ndarray, hi: np.ndarray, out: li
         return
     charge(2 * tree.dim + 4, 1)  # per-node box arithmetic
     nlo, nhi = tree.box_lo[idx], tree.box_hi[idx]
-    if np.any(nlo > hi) or np.any(nhi < lo):
+    # one fused reduction per test: the walk's cost is per-call overhead
+    if ((nlo > hi) | (nhi < lo)).any():
         return  # disjoint
-    if np.all(nlo >= lo) and np.all(nhi <= hi):
+    if ((nlo >= lo) & (nhi <= hi)).all():
         out.append(tree.node_points(idx))  # contained: take all
         return
     if tree.is_leaf[idx]:
@@ -30,7 +31,7 @@ def _collect_box(tree: KDTree, idx: int, lo: np.ndarray, hi: np.ndarray, out: li
         if len(ids):
             pts = tree.points[ids]
             charge(len(ids) * tree.dim)
-            mask = np.all((pts >= lo) & (pts <= hi), axis=1)
+            mask = ((pts >= lo) & (pts <= hi)).all(axis=1)
             out.append(ids[mask])
         return
     _collect_box(tree, int(tree.left[idx]), lo, hi, out)
@@ -57,12 +58,14 @@ def _collect_ball(tree: KDTree, idx: int, c: np.ndarray, r2: float, out: list) -
     if idx < 0 or tree.live[idx] == 0:
         return
     charge(2 * tree.dim + 4, 1)  # per-node box arithmetic
-    nlo, nhi = tree.box_lo[idx], tree.box_hi[idx]
-    gap = np.maximum(nlo - c, 0.0) + np.maximum(c - nhi, 0.0)
+    below = tree.box_lo[idx] - c
+    above = c - tree.box_hi[idx]
+    gap = np.maximum(below, 0.0) + np.maximum(above, 0.0)
     # einsum matches the batched engine's row reduction bit-for-bit
     if float(np.einsum("i,i->", gap, gap)) > r2:
         return  # disjoint
-    far = np.maximum(np.abs(c - nlo), np.abs(c - nhi))
+    # |c - lo| == |lo - c| exactly, so the differences are reused
+    far = np.maximum(np.abs(below), np.abs(above))
     if float(np.einsum("i,i->", far, far)) <= r2:
         out.append(tree.node_points(idx))  # contained
         return
@@ -96,21 +99,22 @@ def range_query_batch(
 
     Queries run in blocks across the scheduler — the paper's range
     search benchmark shape (parallel across queries).  ``engine``
-    selects between the vectorized frontier traversal ("batched",
-    default) and the per-query recursion ("recursive"); results and
-    charges are identical.
+    selects between the vectorized frontier traversal ("batched") and
+    the per-query recursion ("recursive"); ``None`` picks by batch size
+    (:func:`~repro.kdtree.batch.resolve_engine`).  Results and charges
+    are identical.
     """
     from .batch import batched_range_query_batch, resolve_engine
 
-    if resolve_engine(engine) == "batched":
+    los = np.asarray(los, dtype=np.float64)
+    his = np.asarray(his, dtype=np.float64)
+    m = len(los)
+    if resolve_engine(engine, m, "range") == "batched":
         return batched_range_query_batch(tree, los, his, grain=grain)
 
     from ..parlay.scheduler import get_scheduler
     from ..parlay.primitives import query_blocks
 
-    los = np.asarray(los, dtype=np.float64)
-    his = np.asarray(his, dtype=np.float64)
-    m = len(los)
     results: list = [None] * m
     sched = get_scheduler()
     blocks = query_blocks(m, grain=grain)
@@ -130,13 +134,13 @@ def range_query_ball_batch(
     """Data-parallel batch of ball queries (per-query radii allowed)."""
     from .batch import batched_range_query_ball_batch, resolve_engine
 
-    if resolve_engine(engine) == "batched":
+    centers = np.asarray(centers, dtype=np.float64)
+    if resolve_engine(engine, len(centers), "range") == "batched":
         return batched_range_query_ball_batch(tree, centers, radii, grain=grain)
 
     from ..parlay.scheduler import get_scheduler
     from ..parlay.primitives import query_blocks
 
-    centers = np.asarray(centers, dtype=np.float64)
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (len(centers),))
     results: list = [None] * len(centers)
     sched = get_scheduler()

@@ -3,13 +3,17 @@
 :class:`GeometryService` accepts *single* kNN / box-range / ball-range /
 all-NN requests against registered point indexes (static
 :class:`~repro.kdtree.tree.KDTree` or batch-dynamic
-:class:`~repro.bdl.bdltree.BDLTree`) and turns them into the bulk
-batches the array-at-a-time engine (PR 1) is 11–18x faster on:
+:class:`~repro.bdl.bdltree.BDLTree`) and turns them into batches:
 
 * **Dynamic batching** — a coalescing queue groups compatible pending
   requests (same dataset, same kind / k) and dispatches them in one
-  vectorized shot through ``engine="batched"``, bounded by
-  ``max_batch`` (size trigger) and ``max_wait`` (latency trigger).
+  shot per tree, bounded by ``max_batch`` (size trigger) and
+  ``max_wait`` (latency trigger).  Each tree call picks its engine by
+  size (:func:`repro.kdtree.batch.resolve_engine`): the array-at-a-time
+  engine, 11–18x faster on 50K-query batches, from 32 kNN queries (2
+  range queries) up; the per-query walk below that.  Served traffic
+  mostly sits below: traced wallbench runs answer 1.05–1.15 requests
+  per front-end batch, where a kNN walk is about 7x faster.
 * **Versioned result cache** — an LRU keyed by (dataset epoch, tree
   version, kind, params, query digest).  The index's ``version``
   counter bumps on every batch insert/delete, so a stale entry's key

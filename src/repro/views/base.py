@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kdtree.delete import _match_rows
+
 __all__ = ["MaterializedView", "Mirror", "pairs_d2"]
 
 
@@ -85,16 +87,11 @@ class Mirror:
         """Mark live rows whose coords match a row of ``q`` dead.
 
         Returns the killed rows.  Matching replicates the index's erase
-        semantics (:func:`repro.bdl.bdltree._match_rows`): *every* live
-        row equal to *any* requested coordinate dies.
+        semantics (:func:`repro.kdtree.delete._match_rows`): *every*
+        live row equal to *any* requested coordinate dies.
         """
-        from ..bdl.bdltree import _match_rows
-
-        rows = self.live_rows()
-        if len(rows) == 0:
-            return rows
-        hit = _match_rows(self.pts[rows], np.asarray(q, dtype=np.float64))
-        killed = rows[hit]
+        hit = _match_rows(self.pts, np.asarray(q, dtype=np.float64))
+        killed = np.flatnonzero(hit & self.alive)
         self.alive[killed] = False
         for r in killed:
             self.row_of.pop(int(self.gids[r]), None)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.cluster import (
     HilbertPartitioner,
@@ -270,6 +271,53 @@ class TestShardedIndexEquivalence:
         qs = np.vstack([live_pts[: min(10, len(live_pts))],
                         rng.uniform(-1, 11, (10, 2))])
         _assert_equivalent(idx, live_pts, live_gids, qs, k)
+
+
+class TestShardedIndexVsScipy:
+    """Default-path answers against scipy's cKDTree, an oracle that
+    shares no code with the index, on both sides of the walk cutoff."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_shards=st.sampled_from((1, 4, 16)))
+    def test_knn_ball_box_after_mutations(self, seed, n_shards):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 10, (400, 2))
+        idx = ShardedIndex(pts, n_shards, rebalance_min=32, skew_threshold=2.0)
+        live = {g: p for g, p in enumerate(pts)}
+        for _ in range(6):
+            if rng.random() < 0.5:
+                new = rng.uniform(0, 10, (int(rng.integers(1, 9)), 2))
+                for g, p in zip(idx.insert(new), new):
+                    live[int(g)] = p
+            else:
+                gone = rng.choice(sorted(live), size=8, replace=False)
+                idx.erase(np.array([live[int(g)] for g in gone]))
+                for g in gone:
+                    del live[int(g)]
+        gids = np.array(sorted(live))
+        coords = np.array([live[int(g)] for g in gids])
+        oracle = cKDTree(coords)
+        k = 5
+        for m in (1, 3, 40):
+            qs = rng.uniform(-1, 11, (m, 2))
+            d2, got = idx.knn(qs, k)
+            dist, pos = oracle.query(qs, k)
+            assert np.array_equal(got, gids[pos])
+            assert np.allclose(d2, dist**2, rtol=1e-12, atol=0.0)
+
+            r = rng.uniform(0.3, 1.5, m)
+            ball = idx.range_query_ball_batch(qs, r)
+            for i in range(m):
+                want = np.sort(gids[oracle.query_ball_point(qs[i], r[i])])
+                assert np.array_equal(ball[i], want)
+
+            # a cube box is a Chebyshev ball
+            box = idx.range_query_box_batch(qs - r[:, None], qs + r[:, None])
+            for i in range(m):
+                want = np.sort(
+                    gids[oracle.query_ball_point(qs[i], r[i], p=np.inf)]
+                )
+                assert np.array_equal(box[i], want)
 
 
 # ----------------------------------------------------------------------

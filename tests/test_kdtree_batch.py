@@ -21,12 +21,11 @@ from repro.kdtree import (
     KNNBuffer,
     all_nearest_neighbors,
     default_build_engine,
-    default_engine,
     resolve_build_engine,
     resolve_engine,
     set_default_build_engine,
-    set_default_engine,
 )
+from repro.kdtree.batch import ENGINES, WALK_BELOW
 from repro.kdtree.tree import SPATIAL_MEDIAN
 from repro.kdtree.knn import knn
 from repro.kdtree.range_search import range_query_batch, range_query_ball_batch
@@ -49,39 +48,15 @@ def assert_same_cost(cr, cb, label=""):
 
 
 class TestEngineSelection:
-    def test_default_is_batched(self):
-        assert default_engine() == "batched"
-        assert resolve_engine(None) == "batched"
-
     def test_resolve_explicit(self):
-        assert resolve_engine("recursive") == "recursive"
-        assert resolve_engine("batched") == "batched"
-
-    def test_bad_env_default_rejected(self):
-        # a typo'd REPRO_QUERY_ENGINE must error, not silently fall
-        # through to the recursive path
-        import repro.kdtree.batch as B
-
-        old = B._default_engine
-        B._default_engine = "warp"
-        try:
-            with pytest.raises(ValueError, match="REPRO_QUERY_ENGINE"):
-                resolve_engine(None)
-        finally:
-            B._default_engine = old
+        for m in (0, 1, 10_000):
+            for family in ("knn", "range"):
+                assert resolve_engine("recursive", m, family) == "recursive"
+                assert resolve_engine("batched", m, family) == "batched"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            resolve_engine("vectorized")
-        with pytest.raises(ValueError):
-            set_default_engine("gpu")
-
-    def test_set_default_engine_round_trip(self):
-        set_default_engine("recursive")
-        try:
-            assert resolve_engine(None) == "recursive"
-        finally:
-            set_default_engine("batched")
+            resolve_engine("vectorized", 1, "knn")
 
     def test_knn_rejects_unknown_engine(self, rng):
         t = KDTree(rng.uniform(size=(32, 2)))
@@ -246,6 +221,85 @@ class TestConsumers:
         lb, cb = costed(dbscan, pts, 0.7, 8, engine="batched")
         assert np.array_equal(lr, lb)
         assert_same_cost(cr, cb, "dbscan")
+
+
+def _around_cutoff(family):
+    """Batch sizes on both sides of a family's walk cutoff."""
+    c = WALK_BELOW[family]
+    return sorted({1, max(c - 1, 1), c, 64})
+
+
+class TestSizeRule:
+    """``engine=None`` picks by batch size; on every side of the
+    cutoff it must equal both explicit engines, rows and charges."""
+
+    def test_rule_switches_at_cutoff(self):
+        for family, c in WALK_BELOW.items():
+            assert resolve_engine(None, c, family) == "batched"
+            assert resolve_engine(None, 64, family) == "batched"
+            if c > 1:
+                assert resolve_engine(None, 1, family) == "recursive"
+                assert resolve_engine(None, c - 1, family) == "recursive"
+
+    @pytest.mark.parametrize("m", _around_cutoff("knn"))
+    def test_knn_default_matches_both_engines(self, m, rng):
+        pts = rng.uniform(0, 100, size=(1250, 2))
+        t = KDTree(pts.copy())
+        t.erase(pts[::7])
+        qs = rng.uniform(0, 100, size=(m, 2))
+        (dd, idd), cd = costed(knn, t, qs, 8)
+        for eng in ENGINES:
+            (de, ie), ce = costed(knn, t, qs, 8, engine=eng)
+            assert np.array_equal(dd, de) and np.array_equal(idd, ie)
+            assert_same_cost(ce, cd, f"knn m={m} vs {eng}")
+
+    @pytest.mark.parametrize("m", _around_cutoff("range"))
+    def test_range_default_matches_both_engines(self, m, rng):
+        pts = rng.uniform(0, 100, size=(1250, 2))
+        t = KDTree(pts.copy())
+        t.erase(pts[::7])
+        ctr = rng.uniform(0, 100, size=(m, 2))
+        half = rng.uniform(1, 6, size=(m, 2))
+        rad = rng.uniform(1, 8, size=m)
+        rd, cd = costed(range_query_batch, t, ctr - half, ctr + half)
+        bd, cbd = costed(range_query_ball_batch, t, ctr, rad)
+        for eng in ENGINES:
+            re_, ce = costed(range_query_batch, t, ctr - half, ctr + half, engine=eng)
+            assert all(np.array_equal(a, b) for a, b in zip(rd, re_))
+            assert_same_cost(ce, cd, f"box m={m} vs {eng}")
+            be, cbe = costed(range_query_ball_batch, t, ctr, rad, engine=eng)
+            assert all(np.array_equal(a, b) for a, b in zip(bd, be))
+            assert_same_cost(cbe, cbd, f"ball m={m} vs {eng}")
+
+    @pytest.mark.parametrize("m", _around_cutoff("knn"))
+    def test_bdl_seeded_bound_rows(self, m, rng):
+        # several static trees plus a buffer, with tombstones
+        pts = rng.uniform(0, 100, size=(1250, 2))
+        b = BDLTree(2, buffer_size=64)
+        for chunk in np.array_split(pts, 5):
+            b.insert(chunk)
+        b.erase(pts[::9])
+        live, gids = b.gather_points()
+        k = 8
+        qs = rng.uniform(0, 100, size=(m, 2))
+        diff = live[None, :, :] - qs[:, None, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        kth = np.sort(d2, axis=1)[:, k - 1]
+        # unseeded, underfull (bound inside the k-ball) and full rows
+        bound = np.choose(np.arange(m) % 3, [np.full(m, np.inf), kth * 0.5,
+                                             np.nextafter(kth, np.inf)])
+        (dd, idd), cd = costed(b.knn, qs, k, bound=bound)
+        for eng in ENGINES:
+            (de, ie), ce = costed(b.knn, qs, k, engine=eng, bound=bound)
+            assert np.array_equal(dd, de) and np.array_equal(idd, ie)
+            assert_same_cost(ce, cd, f"bdl bound m={m} vs {eng}")
+        # brute-force oracle: the k nearest strictly inside each bound
+        for i in range(m):
+            keep = np.flatnonzero(d2[i] < bound[i])
+            order = keep[np.argsort(d2[i, keep], kind="stable")][:k]
+            assert np.array_equal(dd[i, : len(order)], d2[i, order])
+            assert np.array_equal(idd[i, : len(order)], gids[order])
+            assert np.all(idd[i, len(order):] == -1)
 
 
 class TestBatchBuffers:

@@ -12,14 +12,16 @@ import asyncio
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from repro.bdl import BDLTree
 from repro.cluster import ShardedIndex
 from repro.core.bbox import BBox
 from repro.frontend import Frontend
 from repro.kdtree import KDTree
+from repro.kdtree.delete import _match_rows
 from repro.obs.rtrace import PHASES
 from repro.serve import (
     GeometryService,
@@ -80,6 +82,8 @@ class TestCanonicalEquality:
         st.lists(st.sampled_from(["ins", "del"]), min_size=1, max_size=10),
     )
     @settings(max_examples=30, deadline=None)
+    # empties the live set, then refills it (stale closest-pair grid)
+    @example(0, ["del", "del", "ins", "del", "del", "ins"])
     def test_interleaved_ops_match_recompute_at_every_version(
             self, seed, ops):
         rng = np.random.default_rng(seed)
@@ -151,6 +155,67 @@ class TestCanonicalEquality:
         assert mgr.get("closest_pair")[0] is None  # still < 2 points
         gid = int(idx.gather_points()[1][0])
         assert mgr.get("hull2d")[0] == (gid,)
+
+    def test_closest_pair_after_live_set_empties_and_refills(self):
+        # the refill must not repair against the emptied set's grid
+        # width: (0,0)-(2.9,0) is two cells apart at the old width 1.42
+        idx = BDLTree(2, buffer_size=8)
+        idx.insert(np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]))
+        mgr = ViewManager(idx)
+        mgr.closest_pair()
+        mgr.erase(np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]))
+        mgr.insert(np.array([[0.0, 0.0], [2.9, 0.0], [1.4, 2.8]]))
+        live, gids = idx.gather_points()
+        want = ClosestPairView.compute(live, gids)
+        assert want[1:] == (3, 4)
+        assert mgr.get("closest_pair")[0] == want
+
+
+class TestIndependentOracles:
+    """View answers against scipy, not against the views' own code."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_hull_vertices_match_qhull(self, seed):
+        # general position: random floats, so the strict hull equals
+        # Qhull's vertex set
+        rng = np.random.default_rng(seed)
+        idx = BDLTree(2, buffer_size=8)
+        idx.insert(rng.uniform(0.0, 10.0, (40, 2)))
+        mgr = ViewManager(idx)
+        mgr.hull2d()
+        for _ in range(6):
+            if rng.random() < 0.5:
+                mgr.insert(rng.uniform(-2.0, 12.0, (int(rng.integers(1, 9)), 2)))
+            else:
+                live, _ = idx.gather_points()
+                take = rng.choice(len(live), size=min(8, len(live) - 3),
+                                  replace=False)
+                mgr.erase(live[take])
+            live, gids = idx.gather_points()
+            got = {int(g) for g in mgr.get("hull2d")[0]}
+            want = {int(gids[v]) for v in ConvexHull(live).vertices}
+            assert got == want
+
+    @pytest.mark.parametrize("n,m", [(50, 8), (5000, 8), (3000, 40)])
+    def test_match_rows_against_brute_force(self, n, m):
+        # covers the broadcast path, the first-coordinate prefilter and
+        # the void-view fallback; duplicate-heavy on purpose
+        rng = np.random.default_rng(n + m)
+        pts = rng.integers(0, 4, (n, 3)).astype(np.float64)
+        q = rng.integers(0, 4, (m, 3)).astype(np.float64)
+        want = np.array([any((p == r).all() for r in q) for p in pts])
+        assert np.array_equal(_match_rows(pts, q), want)
+
+    def test_mirror_kill_skips_dead_rows(self):
+        pts = np.repeat(np.array([[1.0, 2.0], [1.0, 3.0]]), 3000, axis=0)
+        mirror = Mirror(pts, np.arange(len(pts)))
+        first = mirror.kill_matching(np.array([[1.0, 2.0]]))
+        assert len(first) == 3000 and mirror.n_live() == 3000
+        assert len(mirror.kill_matching(np.array([[1.0, 2.0]]))) == 0
+        second = mirror.kill_matching(np.array([[1.0, 3.0], [1.0, 2.0]]))
+        assert np.array_equal(second, np.arange(3000, 6000))
+        assert mirror.n_live() == 0 and not mirror.row_of
 
 
 # ---------------------------------------------------------------------------
