@@ -75,7 +75,10 @@ def orient3d(a, b, c, d) -> int:
     t3 = m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     det = t1 - t2 + t3
     perm = abs(t1) + abs(t2) + abs(t3)
-    if abs(det) > EPS3D * perm:
+    # the floor keeps the bound from underflowing to 0 when the products
+    # do (a subnormal det's sign is then rounding noise), as in
+    # orient3d_batch
+    if abs(det) > EPS3D * max(perm, 1e-300):
         return 1 if det > 0 else -1
     # exact fallback on the raw coordinates (float subtraction may have
     # already cancelled the signal)

@@ -40,9 +40,10 @@ which walks below :data:`WALK_BELOW` queries per tree call and runs
 the lock-step engine from there on.  There is one cutoff per kernel
 family, from the measured crossover (table in DESIGN.md): for k=8 in
 2D a single kNN query walks in 0.2 ms against 1.5 ms in lock step and
-the two meet between 32 and 48 queries.  Box queries meet near 2 and
-ball queries never favour the walk; a box plus a ball still walk 10-16%
-faster than in lock step, so range walks single queries only.
+the two meet between 32 and 48 queries.  Range walks test node boxes
+a vEB chunk at a time (:class:`~repro.kdtree.tree.NodeGeometry`); box
+queries then meet near 4 and ball queries near 3, so range walks up to
+two queries per tree call.
 Both engines return identical rows and charges, so the rule only moves
 wall-clock time.  An explicit ``engine="batched" | "recursive"``
 bypasses the rule (tests, ablations,
@@ -79,9 +80,8 @@ ENGINES = ("batched", "recursive")
 #: Per kernel family, the tree-call batch size below which the
 #: per-query walk beats the lock-step engine, from the measured
 #: crossover (2D, k=8; table in DESIGN.md): k-NN crosses between m=32
-#: and m=48; for range, box crosses near m=2 to 3 while ball never
-#: wins by walking, and walking m=1 still wins on a box + ball pair.
-WALK_BELOW = {"knn": 32, "range": 2}
+#: and m=48; for range, ball crosses near m=3 and box near m=4.
+WALK_BELOW = {"knn": 32, "range": 3}
 
 
 def resolve_engine(engine: str | None, m: int, family: str) -> str:

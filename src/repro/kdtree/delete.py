@@ -23,6 +23,11 @@ __all__ = ["erase"]
 
 _SEQ_CUTOFF = 2048
 
+#: Sub-batches of at most this many rows split as Python lists: a
+#: serving erase brings one or two rows to each tree, where a float
+#: comparison per row beats two numpy masks and two fancy indexes.
+_LIST_ROWS = 16
+
 
 def erase(tree: KDTree, point_coords) -> int:
     """Delete points (by coordinates) from the tree; returns #deleted.
@@ -61,10 +66,17 @@ class _CountBox:
             self.count += k
 
 
-def _erase_rec(tree: KDTree, idx: int, q: np.ndarray, deleted: _CountBox, sched) -> int | None:
-    """Returns the node that should replace ``idx`` (None = removed)."""
+def _erase_rec(tree: KDTree, idx: int, q: np.ndarray | list, deleted: _CountBox, sched) -> int | None:
+    """Returns the node that should replace ``idx`` (None = removed).
+
+    ``q`` is an (m, d) array, or a list of m coordinate lists once the
+    sub-batch has at most :data:`_LIST_ROWS` rows; both split the same
+    rows the same way.
+    """
     m = len(q)
     charge(max(m, 1), math.log2(m) if m > 1 else 1.0)
+    if m <= _LIST_ROWS and not isinstance(q, list):
+        q = q.tolist()
     if tree.is_leaf[idx]:
         ids = tree.node_points(idx)
         if len(ids) == 0:
@@ -72,8 +84,7 @@ def _erase_rec(tree: KDTree, idx: int, q: np.ndarray, deleted: _CountBox, sched)
         pts = tree.points[ids]
         # exact coordinate match against the batch
         charge(len(ids) * max(m, 1))
-        # compare via sorted structured view for efficiency
-        hit = _match_rows(pts, q)
+        hit = _match_rows(pts, np.asarray(q, dtype=np.float64))
         if np.any(hit):
             k = int(np.count_nonzero(hit))
             tree.alive[ids[hit]] = False
@@ -83,10 +94,12 @@ def _erase_rec(tree: KDTree, idx: int, q: np.ndarray, deleted: _CountBox, sched)
 
     d = int(tree.split_dim[idx])
     sv = float(tree.split_val[idx])
-    mask_l = q[:, d] <= sv
-    mask_r = q[:, d] >= sv
-    ql = q[mask_l]
-    qr = q[mask_r]
+    if isinstance(q, list):
+        ql = [row for row in q if row[d] <= sv]
+        qr = [row for row in q if row[d] >= sv]
+    else:
+        ql = q[q[:, d] <= sv]
+        qr = q[q[:, d] >= sv]
     li, ri = int(tree.left[idx]), int(tree.right[idx])
 
     results: list[int | None] = [None, None]

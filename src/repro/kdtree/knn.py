@@ -19,7 +19,7 @@ from ..parlay.scheduler import get_scheduler
 from ..parlay.primitives import query_blocks
 from ..parlay.workdepth import charge
 from .knnbuffer import KNNBuffer
-from .tree import KDTree
+from .tree import KDTree, NodeGeometry, box_dist2
 
 __all__ = ["extract_knn_results", "knn", "knn_into", "knn_single"]
 
@@ -36,7 +36,7 @@ def _ingest_subtree(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> No
     buf.insert_batch(d2, tree.gids[ids])
 
 
-def _search(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> None:
+def _search(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer, geo: NodeGeometry) -> None:
     if idx < 0 or tree.live[idx] == 0:
         return
     charge(2 * tree.dim + 4, 1)  # per-node box/plane arithmetic
@@ -49,29 +49,31 @@ def _search(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> None:
     d = int(tree.split_dim[idx])
     first, second = (li, ri) if q[d] <= tree.split_val[idx] else (ri, li)
 
-    _search(tree, first, q, buf)
+    _search(tree, first, q, buf, geo)
 
     if second < 0 or tree.live[second] == 0:
         return
     if not buf.full() and buf.bound == np.inf:
         # fill up with nearby points as fast as possible (paper C.1.3);
         # a seeded bound (finite before the buffer fills) keeps pruning
-        _search(tree, second, q, buf)
+        _search(tree, second, q, buf, geo)
         return
-    below = tree.box_lo[second] - q
-    above = q - tree.box_hi[second]
-    gap = np.maximum(below, 0.0) + np.maximum(above, 0.0)
-    # einsum, not dot: the batched engine reduces rows with einsum, and
-    # the two must round identically so tie-breaking pruning agrees
-    dist2 = float(np.einsum("i,i->", gap, gap))
-    if dist2 >= buf.bound:
+    near2, far2 = geo(second)
+    if near2 >= buf.bound:
         return  # disjoint from the k-NN ball: prune
-    # |q - lo| == |lo - q| exactly, so the differences are reused
-    far = np.maximum(np.abs(below), np.abs(above))
-    if float(np.einsum("i,i->", far, far)) < buf.bound:
+    if far2 < buf.bound:
         _ingest_subtree(tree, second, q, buf)  # wholly inside: take all
     else:
-        _search(tree, second, q, buf)
+        _search(tree, second, q, buf, geo)
+
+
+def _walk(tree: KDTree, q: np.ndarray, buf: KNNBuffer) -> None:
+    """One query's search from the root.
+
+    The node distances stay arrays, not lists: a kNN walk reads few
+    entries per chunk, fewer than converting them would pay back.
+    """
+    _search(tree, tree.root, q, buf, NodeGeometry(tree, lambda lo, hi: box_dist2(lo, hi, q)))
 
 
 def knn_single(tree: KDTree, q: np.ndarray, k: int, buf: KNNBuffer | None = None) -> KNNBuffer:
@@ -79,7 +81,7 @@ def knn_single(tree: KDTree, q: np.ndarray, k: int, buf: KNNBuffer | None = None
     if buf is None:
         buf = KNNBuffer(k)
     if tree.root >= 0:
-        _search(tree, tree.root, np.asarray(q, dtype=np.float64), buf)
+        _walk(tree, np.asarray(q, dtype=np.float64), buf)
     return buf
 
 
@@ -102,7 +104,7 @@ def knn_into(tree: KDTree, queries, buffers: list[KNNBuffer], exclude_self: bool
     def run_block(b: int) -> None:
         lo, hi = blocks[b]
         for i in range(lo, hi):
-            _search(tree, tree.root, qs[i], buffers[i])
+            _walk(tree, qs[i], buffers[i])
 
     sched.parallel_for(len(blocks), run_block)
 

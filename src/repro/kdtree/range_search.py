@@ -10,21 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..parlay.workdepth import charge
-from .tree import KDTree
+from .tree import KDTree, NodeGeometry, box_dist2
 
 __all__ = ["range_query_box", "range_query_ball", "range_count_box"]
 
 
-def _collect_box(tree: KDTree, idx: int, lo: np.ndarray, hi: np.ndarray, out: list) -> None:
+def _collect_box(
+    tree: KDTree, idx: int, lo: np.ndarray, hi: np.ndarray, out: list, geo: NodeGeometry
+) -> None:
     if idx < 0 or tree.live[idx] == 0:
         return
     charge(2 * tree.dim + 4, 1)  # per-node box arithmetic
-    nlo, nhi = tree.box_lo[idx], tree.box_hi[idx]
-    # one fused reduction per test: the walk's cost is per-call overhead
-    if ((nlo > hi) | (nhi < lo)).any():
-        return  # disjoint
-    if ((nlo >= lo) & (nhi <= hi)).all():
-        out.append(tree.node_points(idx))  # contained: take all
+    disjoint, contained = geo(idx)
+    if disjoint:
+        return
+    if contained:
+        out.append(tree.node_points(idx))  # take all
         return
     if tree.is_leaf[idx]:
         ids = tree.node_points(idx)
@@ -34,16 +35,23 @@ def _collect_box(tree: KDTree, idx: int, lo: np.ndarray, hi: np.ndarray, out: li
             mask = ((pts >= lo) & (pts <= hi)).all(axis=1)
             out.append(ids[mask])
         return
-    _collect_box(tree, int(tree.left[idx]), lo, hi, out)
-    _collect_box(tree, int(tree.right[idx]), lo, hi, out)
+    _collect_box(tree, int(tree.left[idx]), lo, hi, out, geo)
+    _collect_box(tree, int(tree.right[idx]), lo, hi, out, geo)
 
 
 def range_query_box(tree: KDTree, lo, hi) -> np.ndarray:
     """Ids of live points inside the closed box [lo, hi]."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
+
+    def tests(nlo, nhi):
+        return (
+            ((nlo > hi) | (nhi < lo)).any(axis=1).tolist(),
+            ((nlo >= lo) & (nhi <= hi)).all(axis=1).tolist(),
+        )
+
     out: list = []
-    _collect_box(tree, tree.root, lo, hi, out)
+    _collect_box(tree, tree.root, lo, hi, out, NodeGeometry(tree, tests))
     if not out:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(out)
@@ -54,20 +62,17 @@ def range_count_box(tree: KDTree, lo, hi) -> int:
     return len(range_query_box(tree, lo, hi))
 
 
-def _collect_ball(tree: KDTree, idx: int, c: np.ndarray, r2: float, out: list) -> None:
+def _collect_ball(
+    tree: KDTree, idx: int, c: np.ndarray, r2: float, out: list, geo: NodeGeometry
+) -> None:
     if idx < 0 or tree.live[idx] == 0:
         return
     charge(2 * tree.dim + 4, 1)  # per-node box arithmetic
-    below = tree.box_lo[idx] - c
-    above = c - tree.box_hi[idx]
-    gap = np.maximum(below, 0.0) + np.maximum(above, 0.0)
-    # einsum matches the batched engine's row reduction bit-for-bit
-    if float(np.einsum("i,i->", gap, gap)) > r2:
-        return  # disjoint
-    # |c - lo| == |lo - c| exactly, so the differences are reused
-    far = np.maximum(np.abs(below), np.abs(above))
-    if float(np.einsum("i,i->", far, far)) <= r2:
-        out.append(tree.node_points(idx))  # contained
+    disjoint, contained = geo(idx)
+    if disjoint:
+        return
+    if contained:
+        out.append(tree.node_points(idx))
         return
     if tree.is_leaf[idx]:
         ids = tree.node_points(idx)
@@ -78,15 +83,21 @@ def _collect_ball(tree: KDTree, idx: int, c: np.ndarray, r2: float, out: list) -
             d2 = np.einsum("ij,ij->i", diff, diff)
             out.append(ids[d2 <= r2])
         return
-    _collect_ball(tree, int(tree.left[idx]), c, r2, out)
-    _collect_ball(tree, int(tree.right[idx]), c, r2, out)
+    _collect_ball(tree, int(tree.left[idx]), c, r2, out, geo)
+    _collect_ball(tree, int(tree.right[idx]), c, r2, out, geo)
 
 
 def range_query_ball(tree: KDTree, center, radius: float) -> np.ndarray:
     """Ids of live points within Euclidean distance ``radius`` of center."""
     c = np.asarray(center, dtype=np.float64)
+    r2 = float(radius) ** 2
+
+    def tests(nlo, nhi):
+        near2, far2 = box_dist2(nlo, nhi, c)
+        return (near2 > r2).tolist(), (far2 <= r2).tolist()
+
     out: list = []
-    _collect_ball(tree, tree.root, c, float(radius) ** 2, out)
+    _collect_ball(tree, tree.root, c, r2, out, NodeGeometry(tree, tests))
     if not out:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(out)

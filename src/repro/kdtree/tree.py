@@ -25,7 +25,14 @@ from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge, fork_costs
 from .build import build_batched, resolve_build_engine
 
-__all__ = ["KDTree", "hyperceiling", "SPATIAL_MEDIAN", "OBJECT_MEDIAN"]
+__all__ = [
+    "KDTree",
+    "NodeGeometry",
+    "box_dist2",
+    "hyperceiling",
+    "SPATIAL_MEDIAN",
+    "OBJECT_MEDIAN",
+]
 
 OBJECT_MEDIAN = "object"
 SPATIAL_MEDIAN = "spatial"
@@ -33,12 +40,68 @@ SPATIAL_MEDIAN = "spatial"
 #: Subproblems below this size build sequentially (task grain).
 _SEQ_CUTOFF = 4096
 
+#: Node slots per geometry chunk (log2): see :class:`NodeGeometry`.
+_CHUNK_BITS = 8
+_CHUNK = 1 << _CHUNK_BITS
+
 
 def hyperceiling(n: int) -> int:
     """Smallest power of two >= n (paper footnote 1)."""
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
+
+
+class NodeGeometry:
+    """One query's node-vs-query tests, computed a vEB chunk at a time.
+
+    A single-query tree walk asks one question of every node it visits
+    (is the node's box disjoint from / inside the query region?).
+    Answering it per node costs several numpy calls on d-element rows.
+    Instead, the first visit to a node evaluates ``tests(box_lo, box_hi)``
+    over the node's whole chunk of :data:`_CHUNK` consecutive vEB slots
+    — row-wise array arithmetic returning two per-slot sequences — and
+    later visits in that chunk read entries.  The vEB layout keeps a
+    subtree, and a root-to-leaf path, within few chunks; a serving
+    shard's tree (at most 255 slots) is a single chunk.  Chunks are
+    computed lazily: a table for every node would cost more than the
+    walk visits on a large tree.
+    """
+
+    __slots__ = ("_tree", "_tests", "_chunks")
+
+    def __init__(self, tree: KDTree, tests):
+        self._tree = tree
+        self._tests = tests
+        self._chunks: dict = {}
+
+    def __call__(self, idx: int) -> tuple:
+        """The two test values of node ``idx``."""
+        c = idx >> _CHUNK_BITS
+        ab = self._chunks.get(c)
+        if ab is None:
+            s = c << _CHUNK_BITS
+            t = self._tree
+            ab = self._chunks[c] = self._tests(
+                t.box_lo[s : s + _CHUNK], t.box_hi[s : s + _CHUNK]
+            )
+        j = idx & (_CHUNK - 1)
+        return ab[0][j], ab[1][j]
+
+
+def box_dist2(box_lo: np.ndarray, box_hi: np.ndarray, q: np.ndarray) -> tuple:
+    """Squared min and max distances from ``q`` to each box row.
+
+    Rows reduce with ``einsum("ij,ij->i")``, exactly as the lock-step
+    engine does, so pruning and tie decisions round identically on
+    both sides.  ``|q - lo| == |lo - q|``, so the far-corner distance
+    reuses the differences.
+    """
+    below = box_lo - q
+    above = q - box_hi
+    gap = np.maximum(below, 0.0) + np.maximum(above, 0.0)
+    far = np.maximum(np.abs(below), np.abs(above))
+    return np.einsum("ij,ij->i", gap, gap), np.einsum("ij,ij->i", far, far)
 
 
 class KDTree:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from ..parlay import workdepth
@@ -304,23 +304,31 @@ def trace(name: str = "run", *, max_spans: int = DEFAULT_MAX_SPANS,
             workdepth.tracker.merge_serial(c)
 
 
-@contextmanager
+#: What a disabled :func:`span` returns: one shared do-nothing context.
+_NO_SPAN = nullcontext()
+
+
 def span(name: str, *, cat: str = "phase", backend: str | None = None,
          batch: int | None = None, **meta):
     """Emit a named phase span around the enclosed block.
 
-    The no-op path (tracing disabled) is a single global load and a
-    ``None`` check — safe to leave in hot entry points.  When enabled,
-    the block runs in its own cost frame whose total is folded serially
-    into the parent on exit (even if the block raises), so the charge
-    composition is bit-identical to the untraced run.
+    The no-op path (tracing disabled) is a global load, a ``None``
+    check and a shared do-nothing context manager — safe to leave in
+    hot entry points.  When enabled, the block runs in its own cost
+    frame whose total is folded serially into the parent on exit (even
+    if the block raises), so the charge composition is bit-identical to
+    the untraced run.
 
-    Yields the frame's :class:`~repro.parlay.workdepth.Cost` (or None
-    when disabled).
+    The context yields the frame's
+    :class:`~repro.parlay.workdepth.Cost` (or None when disabled).
     """
     if workdepth.get_tracer() is None:
-        yield None
-        return
+        return _NO_SPAN
+    return _span(name, cat, backend, batch, meta)
+
+
+@contextmanager
+def _span(name, cat, backend, batch, meta):
     c = None
     try:
         with workdepth.tracker.frame(label=name, cat=cat, backend=backend,

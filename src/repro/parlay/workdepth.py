@@ -128,8 +128,7 @@ class CostTracker(threading.local):
         return self._stack[0].copy()
 
     # -- scoped accounting -------------------------------------------------
-    @contextmanager
-    def frame(self, label: str | None = None, **attrs):
+    def frame(self, label: str | None = None, **attrs) -> "_Frame":
         """Collect the cost of the enclosed block into a fresh Cost.
 
         The cost is *not* automatically merged into the parent; the
@@ -141,29 +140,12 @@ class CostTracker(threading.local):
         ``attrs`` (cat, backend, batch, parent, ...), and the frame's
         final (work, depth).
 
-        The pop is exception-safe: the frame is removed in ``finally``
-        and any stray frames a raising (or mis-nested) block left above
-        it are unwound into this frame's cost first, so a raising
-        algorithm can never corrupt the thread-local frame stack.
+        The pop is exception-safe: the frame is removed on exit and any
+        stray frames a raising (or mis-nested) block left above it are
+        unwound into this frame's cost first, so a raising algorithm can
+        never corrupt the thread-local frame stack.
         """
-        child = Cost()
-        stack = self._stack
-        stack.append(child)
-        tr = _tracer
-        tok = (
-            tr.begin(label, **attrs)
-            if tr is not None and label is not None
-            else None
-        )
-        try:
-            yield child
-        finally:
-            while len(stack) > 1 and stack[-1] is not child:
-                child.add_serial(stack.pop())
-            if stack[-1] is child:
-                stack.pop()
-            if tok is not None:
-                tr.end(tok, child.work, child.depth)
+        return _Frame(self, label, attrs)
 
     def merge_parallel(self, children: list[Cost], fanout: int | None = None) -> None:
         """Merge sibling costs that ran in parallel.
@@ -182,6 +164,43 @@ class CostTracker(threading.local):
         self._stack[-1].add_serial(child)
 
 
+class _Frame:
+    """The context manager :meth:`CostTracker.frame` returns.
+
+    A slotted class rather than a generator: the erase descent and
+    ``fork_costs`` open frames at every node they visit.
+    """
+
+    __slots__ = ("_tracker", "_label", "_attrs", "_stack", "_child", "_tr", "_tok")
+
+    def __init__(self, tracker: CostTracker, label: str | None, attrs: dict):
+        self._tracker = tracker
+        self._label = label
+        self._attrs = attrs
+
+    def __enter__(self) -> Cost:
+        child = self._child = Cost()
+        stack = self._stack = self._tracker._stack
+        stack.append(child)
+        tr = self._tr = _tracer
+        self._tok = (
+            tr.begin(self._label, **self._attrs)
+            if tr is not None and self._label is not None
+            else None
+        )
+        return child
+
+    def __exit__(self, *exc) -> bool:
+        stack, child = self._stack, self._child
+        while len(stack) > 1 and stack[-1] is not child:
+            child.add_serial(stack.pop())
+        if stack[-1] is child:
+            stack.pop()
+        if self._tok is not None:
+            self._tr.end(self._tok, child.work, child.depth)
+        return False
+
+
 #: The process-wide tracker.  Thread-local so the thread backend's
 #: workers don't interleave their accounting; the scheduler merges
 #: worker-side costs back explicitly.
@@ -193,10 +212,9 @@ def charge(work: float, depth: float | None = None) -> None:
     tracker.charge(work, depth)
 
 
-@contextmanager
-def frame(label: str | None = None, **attrs):
-    with tracker.frame(label, **attrs) as c:
-        yield c
+def frame(label: str | None = None, **attrs) -> _Frame:
+    """Module-level convenience wrapper around ``tracker.frame``."""
+    return tracker.frame(label, **attrs)
 
 
 def parallel_merge(children: list[Cost], fanout: int | None = None) -> None:

@@ -3,7 +3,8 @@
 The Hilbert curve preserves locality strictly better than the Z-order
 curve (no long diagonal jumps), at the cost of a more expensive index
 computation.  Implemented with the classical bitwise transpose
-algorithm (Skilling's method), vectorized over numpy arrays.  The
+algorithm (Skilling's method), vectorized over numpy arrays for large
+inputs and over the 64-bit fields of Python ints for small ones.  The
 transpose algorithm is dimension-generic, so codes are available for
 any ``d >= 2`` as long as the interleaved index fits 63 bits
 (``bits * d <= 63``).
@@ -26,6 +27,13 @@ __all__ = ["hilbert_codes", "hilbert_argsort", "hilbert_sort"]
 _BLOCK = 1 << 16
 
 
+#: Below this many points the transform runs on Python ints (SWAR, see
+#: :func:`_swar_undo_and_gray`); from here up, on numpy columns.  Both
+#: take about 9 * bits * d operations, so the crossover hardly moves
+#: with d: measured between 512 and 768 points at d = 2, 3 and 7.
+_SWAR_BELOW = 512
+
+
 def _transpose_to_hilbert_int(x: np.ndarray, bits: int) -> np.ndarray:
     """Skilling's TransposetoAxes inverse: Gray-code a transposed
     coordinate matrix into Hilbert indices.
@@ -33,23 +41,82 @@ def _transpose_to_hilbert_int(x: np.ndarray, bits: int) -> np.ndarray:
     ``x`` is (n, d) uint64 coordinates quantized to ``bits`` bits.
     Returns (n,) uint64 Hilbert indices.
 
-    About ``9 * bits * d`` numpy calls, whatever the data: the undo
-    step runs on contiguous per-dimension columns with branch-free
-    masks and in-place ufuncs, the Gray step is a prefix xor of at most
-    six shifts, and the interleave is one unpackbits/packbits round
-    trip per block of :data:`_BLOCK` points.
+    Small inputs (fewer than :data:`_SWAR_BELOW` points, e.g. a routed
+    query or an 8-point update) run the undo and Gray steps on one
+    Python int per dimension; larger ones on numpy columns.  Both then
+    share one interleave.
+    """
+    n = len(x)
+    if n < _SWAR_BELOW:
+        cols = _swar_undo_and_gray(x, bits)
+    else:
+        cols = _array_undo_and_gray(x, bits)
+    return _interleave(cols, bits)
+
+
+def _swar_undo_and_gray(x: np.ndarray, bits: int) -> np.ndarray:
+    """The undo and Gray steps, SIMD within a register.
+
+    Each dimension becomes one Python int holding every point's
+    coordinate in its own 64-bit field, so one big-int operation
+    updates all points: about ``9 * bits * d`` of them, whatever n is.
+    Fields never carry into each other: xor and and are bitwise, the
+    masks multiply a 0/1 field by ``p < 2**bits``, and every right
+    shift is masked back to ``bits`` bits per field (``bits <= 31``
+    when ``d >= 2``, so bits shifted in from the next field land above
+    them).  Returns the (d, n) uint64 transposed columns.
     """
     n, d = x.shape
-    # cols[i] is dimension i; at least two entries wide, because numpy
-    # runs in-place ufuncs on one-element arrays about twice as slowly
-    w = max(n, 2)
-    cols = np.zeros((d, w), dtype=np.uint64)
-    cols[:, :n] = x.T
+    nbytes = 8 * n
+    xs = [int.from_bytes(c.tobytes(), "little") for c in np.ascontiguousarray(x.T, dtype="<u8")]
+    ones = int.from_bytes(np.ones(n, dtype="<u8").tobytes(), "little")
+
+    # inverse undo excess work, as in _array_undo_and_gray: with f = bit
+    # b of x_i, invert the low bits of x_0 where f is set, exchange the
+    # low bits of x_0 and x_i where it is clear
+    x0 = xs[0]
+    for b in range(bits - 1, 0, -1):
+        p = (1 << b) - 1
+        pp = ones * p
+        x0 ^= ((x0 >> b) & ones) * p
+        for i in range(1, d):
+            xi = xs[i]
+            inv = ((xi >> b) & ones) * p
+            x0 ^= inv
+            t = (x0 ^ xi) & (pp ^ inv)
+            x0 ^= t
+            xs[i] = xi ^ t
+    xs[0] = x0
+
+    # Gray encode
+    for i in range(1, d):
+        xs[i] ^= xs[i - 1]
+    keep = ones * ((1 << bits) - 1)
+    s = xs[d - 1]
+    step = 1
+    while step < bits:
+        s ^= (s >> step) & keep
+        step <<= 1
+    s = (s >> 1) & keep
+    raw = b"".join((v ^ s).to_bytes(nbytes, "little") for v in xs)
+    return np.frombuffer(raw, dtype="<u8").reshape(d, n).astype(np.uint64)
+
+
+def _array_undo_and_gray(x: np.ndarray, bits: int) -> np.ndarray:
+    """The undo and Gray steps on numpy columns.
+
+    About ``9 * bits * d`` numpy calls, whatever n is: the undo step
+    runs on contiguous per-dimension columns with branch-free masks and
+    in-place ufuncs, and the Gray step is a prefix xor of at most six
+    shifts.  Returns the (d, n) uint64 transposed columns.
+    """
+    n, d = x.shape
+    cols = np.array(x.T, dtype=np.uint64, order="C")  # a copy: updated in place
     xs = list(cols)
     x0 = xs[0]
-    f = np.empty(w, dtype=np.uint64)
+    f = np.empty(n, dtype=np.uint64)
     fs = f.view(np.int64)
-    t = np.empty(w, dtype=np.uint64)
+    t = np.empty(n, dtype=np.uint64)
     shl, shr = np.left_shift, np.right_shift
     band, bxor = np.bitwise_and, np.bitwise_xor
     sign = np.int64(63)
@@ -87,8 +154,14 @@ def _transpose_to_hilbert_int(x: np.ndarray, bits: int) -> np.ndarray:
         step <<= 1
     shr(s, np.uint64(1), out=s)
     bxor(cols, s, out=cols)
+    return cols
 
-    # interleave: bit b of x_i is bit b * d + (d - 1 - i) of the index
+
+def _interleave(cols: np.ndarray, bits: int) -> np.ndarray:
+    """Hilbert indices from (d, n) transposed columns: bit b of x_i is
+    bit b * d + (d - 1 - i) of the index.  One unpackbits/packbits
+    round trip per block of :data:`_BLOCK` points."""
+    d, n = cols.shape
     codes = np.empty(n, dtype=np.uint64)
     nbytes = (bits + 7) // 8
     for lo in range(0, n, _BLOCK):

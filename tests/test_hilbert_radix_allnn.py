@@ -15,7 +15,12 @@ from repro.spatialsort import (
     hilbert_sort,
     morton_sort,
 )
-from repro.spatialsort.hilbert import _transpose_to_hilbert_int
+from repro.spatialsort.hilbert import (
+    _SWAR_BELOW,
+    _array_undo_and_gray,
+    _swar_undo_and_gray,
+    _transpose_to_hilbert_int,
+)
 
 from ._hilbert_reference import (
     reference_hilbert_codes,
@@ -115,9 +120,12 @@ class TestHilbertMatchesReference:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_every_bits_width(self, d):
+        """Both transforms: Python-int (SWAR) fields below the cutoff,
+        numpy columns from it up."""
         rng = np.random.default_rng(d)
+        c = _SWAR_BELOW
         for bits in range(1, 63 // d + 1):
-            for n in (0, 1, 7, 300):
+            for n in (0, 1, 7, 300, c - 1, c, 2 * c):
                 x = _quantized(rng, n, d, bits)
                 before = x.copy()
                 got = _transpose_to_hilbert_int(x, bits)
@@ -125,6 +133,19 @@ class TestHilbertMatchesReference:
                 assert got.dtype == np.uint64 and got.shape == (n,)
                 assert np.array_equal(got, want), (d, bits, n)
                 assert np.array_equal(x, before), "input was modified"
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_swar_fields_equal_array_columns(self, d):
+        """Whole 64-bit fields, not just the ``bits`` the interleave
+        reads: no SWAR field picks up bits shifted in from its
+        neighbour."""
+        rng = np.random.default_rng(100 + d)
+        for bits in range(1, 63 // d + 1):
+            for n in (1, 2, 7, 50):
+                x = _quantized(rng, n, d, bits)
+                assert np.array_equal(
+                    _swar_undo_and_gray(x, bits), _array_undo_and_gray(x, bits)
+                ), (d, bits, n)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

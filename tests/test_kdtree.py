@@ -16,6 +16,9 @@ from repro.kdtree import (
     range_query_ball,
     range_query_box,
 )
+from repro.parlay import tracker
+
+from ._erase_reference import reference_erase
 
 
 class TestHyperceiling:
@@ -248,3 +251,58 @@ class TestDeletion:
         t = KDTree(pts)
         assert t.erase(np.zeros((1, 2))) == 5
         assert t.size() == 5
+
+
+class TestEraseMatchesReference:
+    """The erase descent against the all-numpy reference kept in
+    ``tests/_erase_reference.py``: same node arrays, same deleted
+    points, same charges, on both sides of the list-split cutoff."""
+
+    @staticmethod
+    def _pair(pts):
+        return KDTree(pts.copy()), KDTree(pts.copy())
+
+    @staticmethod
+    def _assert_same_tree(a, b):
+        for name in ("left", "right", "live", "alive"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.root, a.n_alive, a.version) == (b.root, b.n_alive, b.version)
+
+    @staticmethod
+    def _on_planes(t, rng, m):
+        """Rows lying exactly on internal nodes' split planes (some of
+        them tree points, some absent)."""
+        inner = np.flatnonzero(t.used & ~t.is_leaf)
+        rows = rng.uniform(0, 10, size=(m, t.dim))
+        for j, node in enumerate(rng.choice(inner, size=m)):
+            rows[j, t.split_dim[node]] = t.split_val[node]
+        return rows
+
+    @pytest.mark.parametrize("m", [1, 16, 17, 40])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_node_arrays_counts_and_charges(self, m, dim, rng):
+        # a coarse grid: many duplicate coordinates and split values
+        pts = rng.integers(0, 12, size=(3000, dim)).astype(np.float64)
+        t, ref = self._pair(pts)
+        for rnd in range(6):
+            present = pts[rng.choice(len(pts), size=m)]
+            batches = (present, self._on_planes(t, rng, m),
+                       np.vstack([present[: m // 2], self._on_planes(t, rng, m - m // 2)]))
+            batch = batches[rnd % 3]
+            tracker.reset()
+            got = t.erase(batch)
+            cost = tracker.reset()
+            want = reference_erase(ref, batch)
+            cref = tracker.reset()
+            assert got == want, (m, rnd)
+            assert cost.work == cref.work
+            assert np.isclose(cost.depth, cref.depth, rtol=1e-12)
+            self._assert_same_tree(t, ref)
+        assert t.size() < len(pts)
+
+    def test_duplicate_rows_in_small_batch(self, rng):
+        pts = rng.integers(0, 4, size=(800, 2)).astype(np.float64)
+        t, ref = self._pair(pts)
+        batch = np.repeat(pts[:3], 4, axis=0)  # 12 rows, 3 distinct
+        assert t.erase(batch) == reference_erase(ref, batch)
+        self._assert_same_tree(t, ref)

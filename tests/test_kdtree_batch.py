@@ -172,6 +172,43 @@ class TestRangeEquivalence:
         assert_same_cost(cr, cb, "scalar radius")
 
 
+class TestMultiChunkWalks:
+    """Walk vs lock-step on trees spanning many node-geometry chunks.
+
+    The walks test node boxes a chunk of 256 vEB slots at a time; the
+    1,500-point trees above fit one chunk.  These have 4,095 and 8,191
+    slots, a fifth of the points erased, and queries both off and on
+    tree points (distance ties)."""
+
+    @pytest.mark.parametrize("n", [20_000, 60_000])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    def test_rows_and_charges_match(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        pts = rng.uniform(0, 100, size=(n, dim))
+        t = KDTree(pts.copy())
+        assert len(t.left) in (4095, 8191)
+        t.erase(pts[rng.choice(n, n // 5, replace=False)])
+        for m in (1, 3):
+            qs = rng.uniform(0, 100, size=(m, dim))
+            qs[0] = pts[rng.integers(n)]
+            (dr, ir), cr = costed(knn, t, qs, 8, engine="recursive")
+            (db, ib), cb = costed(knn, t, qs, 8, engine="batched")
+            assert np.array_equal(dr, db) and np.array_equal(ir, ib)
+            assert_same_cost(cr, cb, f"knn n={n} dim={dim} m={m}")
+
+            half = rng.uniform(2.5, 25, size=(m, dim))
+            rr, cr = costed(range_query_batch, t, qs - half, qs + half, engine="recursive")
+            rb, cb = costed(range_query_batch, t, qs - half, qs + half, engine="batched")
+            assert all(np.array_equal(a, b) for a, b in zip(rr, rb))
+            assert_same_cost(cr, cb, f"box n={n} dim={dim} m={m}")
+
+            rad = rng.uniform(5, 40, size=m)
+            rr, cr = costed(range_query_ball_batch, t, qs, rad, engine="recursive")
+            rb, cb = costed(range_query_ball_batch, t, qs, rad, engine="batched")
+            assert all(np.array_equal(a, b) for a, b in zip(rr, rb))
+            assert_same_cost(cr, cb, f"ball n={n} dim={dim} m={m}")
+
+
 class TestConsumers:
     def test_bdl_knn(self, rng):
         pts = rng.uniform(0, 10, size=(2000, 3))

@@ -72,6 +72,16 @@ class TestOrient3D:
         d = np.array([0.25, 0.25, 0.0])
         assert orient3d(a, b, c, d) == 0
 
+    def test_underflowing_products_go_exact(self):
+        """A repeated vertex makes the determinant exactly zero, but the
+        float products underflow to a subnormal det while the error
+        bound underflows to 0: the filter must not trust that sign."""
+        a = np.array([0.0, 151331.0, 1.38256449e-37])
+        b = np.zeros(3)
+        d = np.array([1.18070547e-292, 0.0, 0.0])
+        assert orient3d(a, b, b, d) == 0
+        assert orient3d_batch(a, b, b, d[None, :])[0] == 0
+
 
 class TestInCircle:
     def test_inside_outside(self):

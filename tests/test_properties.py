@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.predicates import incircle, orient2d, orient3d
@@ -30,6 +30,8 @@ class TestPredicateProperties:
         assert orient2d(a, b, c) == orient2d(b, c, a)  # cyclic
 
     @given(arrays(np.float64, (4, 3), elements=finite))
+    @example(np.array([[0.0, 151331.0, 1.38256449e-37], [0.0, 0.0, 0.0],
+                       [0.0, 0.0, 0.0], [1.18070547e-292, 0.0, 0.0]]))
     @settings(max_examples=60, deadline=None)
     def test_orient3d_swap_antisymmetry(self, q):
         a, b, c, d = q
