@@ -6,8 +6,9 @@ configurations and records both into ``BENCH_load.json``:
 * **solo** — the light tenant alone at its modest arrival rate; its p99
   is the baseline for the fairness gate;
 * **combined** — the same light load plus a saturating heavy tenant
-  (Zipf-skewed kNN at an arrival rate far past the service rate,
-  bursty arrivals).
+  (Zipf-skewed kNN offered at ``HEAVY_OVERLOAD`` (2x) the heavy
+  tenant's closed-loop capacity, measured in-process just before the
+  run, so the run overloads the stack at every scale and on any host).
 
 Unconditional assertions (every scale):
 
@@ -32,6 +33,7 @@ magnitude because light requests would wait behind the heavy backlog.
 import asyncio
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +52,15 @@ FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 LOAD_N = bench_scale(20_000)           # points per tenant index
 LIGHT_RATE = 200.0                     # req/s, well under capacity
 LIGHT_N = bench_scale(1200)            # light requests per phase
-HEAVY_RATE = 500.0                     # req/s, past the exact-path capacity
-# heavy arrivals span the light tenant's whole window, so saturation is
-# sustained rather than a front-loaded burst
-HEAVY_N = int(HEAVY_RATE * (bench_scale(1200) / LIGHT_RATE))
+# heavy offered rate / the heavy tenant's measured closed-loop rate.
+# Twice the capacity overflows the heavy queue at every scale.  Four
+# times is past what the event loop can even shed: arrivals and
+# rejections run on the loop the dispatcher runs on, so the light
+# tenant's tail then measures the loop's backlog of heavy arrivals, not
+# dispatch (light p99 0.70 s against 1.65 ms solo in one such run).
+HEAVY_OVERLOAD = 2.0
+CAPACITY_N = bench_scale(1000)         # closed-loop requests timed per pass
+CAPACITY_PASSES = 3                    # capacity is the median pass
 SHARDS = 2
 K = 8
 MAX_BATCH = 1                          # dispatch quantum (bounds light delay)
@@ -92,7 +99,35 @@ async def _solo():
         await fe.close()
 
 
-async def _combined():
+def _heavy_trace(coords, n):
+    return zipf_trace(coords, n, kinds=("knn",), k=K, seed=7)
+
+
+async def _heavy_capacity():
+    """Requests/s the heavy tenant is served at closed loop: one request
+    at a time, each sent when the previous one was answered, through the
+    same front end and index as the combined run, from a cold cache."""
+    coords = _points()
+    fe = _frontend()
+    idx = ShardedIndex(coords, SHARDS)
+    fe.register_tenant("heavy", idx, weight=1.0)
+    trace = _heavy_trace(coords, CAPACITY_N)
+    try:
+        t0 = time.perf_counter()
+        for op in trace:
+            await fe.knn("heavy", op["q"], op["k"])
+        return len(trace) / (time.perf_counter() - t0)
+    finally:
+        await fe.close()
+        idx.close()
+
+
+def _median_capacity():
+    return float(np.median([asyncio.run(_heavy_capacity())
+                            for _ in range(CAPACITY_PASSES)]))
+
+
+async def _combined(heavy_rate):
     coords = _points()
     fe = _frontend()
     heavy_idx = ShardedIndex(coords, SHARDS)
@@ -102,10 +137,12 @@ async def _combined():
     # front-end, and burst-mode arrival storms measurably delay *client
     # task wakeups* — noise from the co-located load generator, not
     # from dispatch.  Burstiness is exercised by tests and the CLI.
+    # heavy arrivals span the light tenant's whole window, so saturation
+    # is sustained rather than a front-loaded burst
+    heavy_n = int(heavy_rate * LIGHT_N / LIGHT_RATE)
     heavy = TenantLoad(
-        "heavy",
-        zipf_trace(coords, HEAVY_N, kinds=("knn",), k=K, seed=7),
-        rate=HEAVY_RATE, pattern="poisson", seed=8,
+        "heavy", _heavy_trace(coords, heavy_n),
+        rate=heavy_rate, pattern="poisson", seed=8,
     )
     try:
         report = await run_open_loop(fe, [heavy, _light_load(coords)])
@@ -116,7 +153,9 @@ async def _combined():
 
 def test_load_saturation_fairness_and_degradation(benchmark):
     solo = asyncio.run(_solo())
-    combined, heavy_idx = asyncio.run(_combined())
+    capacity = _median_capacity()
+    heavy_rate = HEAVY_OVERLOAD * capacity
+    combined, heavy_idx = asyncio.run(_combined(heavy_rate))
 
     s_light = solo.per_tenant["light"]
     c_light = combined.per_tenant["light"]
@@ -129,7 +168,10 @@ def test_load_saturation_fairness_and_degradation(benchmark):
                                + rep.quota_rejected + rep.timeouts)
 
     # -- the open loop actually saturated: the heavy tenant was shed
-    assert c_heavy.rejected > 0, "heavy tenant at 20k req/s must overflow"
+    assert c_heavy.rejected > 0, (
+        f"heavy tenant at {heavy_rate:.0f} req/s ({HEAVY_OVERLOAD:g}x its "
+        f"closed-loop {capacity:.0f} req/s) must overflow"
+    )
 
     # -- bounded queues: high-watermark never exceeds the configured
     #    bound (+1 for the arrival observed before its own admission)
@@ -149,6 +191,8 @@ def test_load_saturation_fairness_and_degradation(benchmark):
     assert n_verified == len(combined.degraded_samples)
 
     ratio = (c_light.p99 / s_light.p99) if s_light.p99 > 0 else float("inf")
+    _load_records["heavy_capacity_rps"] = capacity
+    _load_records["heavy_rate"] = heavy_rate
     _load_records["solo"] = solo.to_json()
     _load_records["combined"] = combined.to_json()
     _load_records["light_p99_ratio"] = ratio
@@ -172,6 +216,7 @@ def teardown_module(module):
     payload = {
         "benchmark": "async front-end: open-loop saturation, weighted-fair "
                      "dispatch, admission control, graceful degradation",
+        "kind": "wall",
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
         "gates": {
             "max_light_p99_ratio": MAX_FAIRNESS_RATIO,
@@ -185,7 +230,9 @@ def teardown_module(module):
             "k": K,
             "max_batch": MAX_BATCH,
             "light_rate": LIGHT_RATE,
-            "heavy_rate": HEAVY_RATE,
+            "heavy_overload": HEAVY_OVERLOAD,
+            "heavy_capacity_rps": _load_records.get("heavy_capacity_rps"),
+            "heavy_rate": _load_records.get("heavy_rate"),
             "light_weight": LIGHT_WEIGHT,
         },
         "runs": _load_records,

@@ -226,8 +226,7 @@ def test_serve_coalesced_throughput(benchmark):
     trace = synthetic_trace(pts, SERVE_REQUESTS, kinds=("knn", "ball", "box"),
                             k=K, repeat_frac=0.0, seed=7)
 
-    service = GeometryService(max_batch=1024, max_wait=0.002,
-                              max_pending=4 * SERVE_REQUESTS,
+    service = GeometryService(max_batch=1024,
                               cache_capacity=4 * SERVE_REQUESTS)
     service.register("bench", KDTree(pts))
     report = replay(service, "bench", trace)
@@ -269,8 +268,7 @@ def test_serve_cache_hit_rate(benchmark):
     trace = synthetic_trace(pts, SERVE_REQUESTS, kinds=("knn", "ball", "box"),
                             k=K, repeat_frac=0.6, seed=11)
 
-    service = GeometryService(max_batch=1024, max_wait=0.002,
-                              max_pending=4 * SERVE_REQUESTS,
+    service = GeometryService(max_batch=1024,
                               cache_capacity=4 * SERVE_REQUESTS)
     service.register("bench", KDTree(pts))
     report = replay(service, "bench", trace)

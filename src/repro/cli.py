@@ -279,10 +279,7 @@ def cmd_serve_replay(args) -> int:
 
     with _use_backend(args), _use_build_engine(args):
         service = GeometryService(
-            max_batch=args.max_batch,
-            max_wait=args.max_wait,
-            max_pending=args.max_pending,
-            cache_capacity=args.cache,
+            max_batch=args.max_batch, cache_capacity=args.cache,
         )
         service.register("data", build_index())
         report = replay(service, "data", trace)
@@ -949,9 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--shards", type=int, default=0, metavar="N",
                     help="serve from a Hilbert-sharded index with N shards "
                          "(scatter-gather routing; 0 = unsharded)")
-    sr.add_argument("--max-batch", type=int, default=256)
-    sr.add_argument("--max-wait", type=float, default=0.002)
-    sr.add_argument("--max-pending", type=int, default=4096)
+    sr.add_argument("--max-batch", type=int, default=256,
+                    help="most queries answered per service call (default 256)")
     sr.add_argument("--cache", type=int, default=8192,
                     help="result-cache capacity (entries)")
     sr.add_argument("--compare", action="store_true",

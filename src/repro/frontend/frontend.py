@@ -19,14 +19,17 @@ Request lifecycle::
       │   typed Overloaded(retry_after); under-share tenants stay admitted
       │ enqueue on the tenant's queue, wake the dispatcher
       ▼
-    dispatcher task (one per frontend)
+    dispatcher task (one per frontend, on the event loop)
       │ weighted-fair pick: backlogged tenant with smallest virtual tag
-      │ drain one quantum (<= max_batch) of that tenant's queue
-      │ execute in a worker thread:
-      │   exact   -> GeometryService.submit(...) + flush(tenant)   (coalesced + cached)
-      │   degraded-> ShardedIndex.knn_home(...)                    (home shard only)
+      │ drain one quantum (<= max_batch) of that tenant's queue; a
+      │   request whose deadline already passed -> RequestTimeout, unrun
+      │ execute the quantum inline, one segment per mutation barrier:
+      │   exact   -> GeometryService.execute(tenant, segment)  (deduped + cached)
+      │   degraded-> ShardedIndex.knn_home(...)                (home shard only)
+      │   insert / erase -> the index (through its ViewManager)
       ▼
     resolve futures with Reply(value, approximate=...)
+    await asyncio.sleep(0): arrivals are admitted, shed or degraded
 
 Fairness is **weighted-fair dispatch**, not FIFO: a heavy tenant that
 floods its queue only advances its own virtual time, so a light
@@ -43,10 +46,13 @@ not the globally nearest — never a silently wrong exact-looking
 answer.  All other requests (and all tenants without a degraded path)
 stay exact.
 
-The executor keeps numpy work off the event loop, so open-loop load
-generators (:mod:`repro.frontend.load`) measure genuine queueing
-behaviour: arrivals keep being admitted (or typed-rejected) while a
-batch executes.
+Quanta run on the event-loop thread, with no hand-off to a worker
+thread: under one interpreter lock a worker adds no throughput, only a
+round trip per quantum.  The dispatcher yields after every quantum, so
+open-loop load generators (:mod:`repro.frontend.load`) still measure
+genuine queueing behaviour: arrivals that came due during a quantum are
+admitted (or typed-rejected) before the next one is picked, and the
+quantum size ``max_batch`` bounds how long any of them waits for that.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +72,7 @@ from ..obs.rtrace import (
     make_context,
 )
 from ..obs.slo import Objective, SLOTracker
-from ..serve.service import KINDS, GeometryService
+from ..serve.service import KINDS, GeometryService, Outcome
 from .admission import DEGRADED, NORMAL, OVERLOADED, AdmissionController
 from .dispatch import TokenBucket, WeightedFairScheduler
 from .errors import (
@@ -83,7 +88,7 @@ __all__ = ["Frontend", "MUTATION_KINDS", "Reply"]
 _STATE_CODE = {NORMAL: 0, DEGRADED: 1, OVERLOADED: 2}
 
 #: Mutation request kinds: routed to the tenant's index (through its
-#: ViewManager when one is attached) instead of the coalescing service,
+#: ViewManager when one is attached) instead of the query service,
 #: acting as barriers inside a dispatch quantum.
 MUTATION_KINDS = ("insert", "erase")
 
@@ -110,16 +115,17 @@ class Reply:
 
 
 class _Request:
-    __slots__ = ("kind", "payload", "kw", "future", "enqueued_at", "degraded",
-                 "ctx")
+    __slots__ = ("kind", "payload", "kw", "future", "enqueued_at", "deadline",
+                 "degraded", "ctx")
 
-    def __init__(self, kind, payload, kw, future, enqueued_at, degraded,
-                 ctx=None):
+    def __init__(self, kind, payload, kw, future, enqueued_at, deadline,
+                 degraded, ctx=None):
         self.kind = kind
         self.payload = payload
         self.kw = kw
         self.future = future
         self.enqueued_at = enqueued_at
+        self.deadline = deadline
         self.degraded = degraded
         self.ctx = ctx
 
@@ -151,12 +157,13 @@ class Frontend:
     Parameters
     ----------
     service:
-        The :class:`GeometryService` to execute through (manual mode;
-        the front-end is its dispatcher).  One is created — and owned,
-        i.e. closed by :meth:`close` — when omitted.
+        The :class:`GeometryService` to execute through.  One is
+        created — and owned, i.e. closed by :meth:`close` — when
+        omitted.
     max_batch:
         Dispatch quantum: most requests drained from one tenant's queue
-        per scheduling decision (also the coalescing bound downstream).
+        per scheduling decision, and so the largest slab one
+        :meth:`GeometryService.execute` call answers.
     queue_depth:
         Per-tenant queue bound; arrivals past it are shed with a typed
         :class:`Overloaded` even in the NORMAL state.
@@ -216,11 +223,7 @@ class Frontend:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._own_service = service is None
         if service is None:
-            service = GeometryService(
-                max_batch=max_batch,
-                max_pending=max(4 * queue_depth, 4096),
-                registry=self.registry,
-            )
+            service = GeometryService(max_batch=max_batch, registry=self.registry)
         self._service = service
 
         self._tenants: dict[str, _Tenant] = {}
@@ -303,9 +306,6 @@ class Frontend:
             resume_frac=resume_frac,
         )
 
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-frontend"
-        )
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closing = False
@@ -447,8 +447,9 @@ class Frontend:
 
     async def submit(self, tenant: str, kind: str, payload=None, *,
                      timeout: float | None = None, **kw) -> Reply:
-        """Generic entry point mirroring ``GeometryService.submit``,
-        extended with the ``insert`` / ``erase`` mutation kinds."""
+        """Generic entry point: any query kind of
+        :data:`~repro.serve.service.KINDS` with its parameters as
+        keywords, or the ``insert`` / ``erase`` mutation kinds."""
         if kind not in KINDS and kind not in MUTATION_KINDS:
             raise ValueError(
                 f"unknown request kind {kind!r}; expected one of "
@@ -590,8 +591,10 @@ class Frontend:
         degraded = decision.state != NORMAL and kind == "knn" and t.degradable
 
         loop = asyncio.get_running_loop()
-        req = _Request(kind, payload, kw, loop.create_future(),
-                       self._clock(), degraded, ctx)
+        now = self._clock()
+        req = _Request(kind, payload, kw, loop.create_future(), now,
+                       now + timeout if timeout is not None else None,
+                       degraded, ctx)
         t.queue.append(req)
         self._sched.arrive(tenant)
         self._ensure_dispatcher(loop)
@@ -617,7 +620,6 @@ class Frontend:
             )
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if self._sched.total_backlog() == 0:
                 if self._closing:
@@ -631,42 +633,47 @@ class Frontend:
             t = self._tenants[name]
             batch: list[_Request] = []
             taken = 0
+            t0 = self._clock()
             while t.queue and len(batch) < self.max_batch:
                 req = t.queue.popleft()
                 taken += 1
-                if not req.future.cancelled():
-                    batch.append(req)
-            self._sched.dispatched(name, taken)
-            if not batch:
-                continue
-
-            t0 = self._clock()
-            try:
-                outcomes = await loop.run_in_executor(
-                    self._pool, self._execute_batch, t, batch, t0
-                )
-            except Exception as exc:  # executor itself failed (shutdown race)
-                outcomes = [(False, exc)] * len(batch)
-            self.admission.note_drained(len(batch), self._clock() - t0)
-            for req, (ok, val) in zip(batch, outcomes):
-                fut = req.future
-                if fut.cancelled():
+                if req.future.done():  # cancelled by its caller
                     continue
-                if ok:
-                    fut.set_result(val)
-                else:
-                    fut.set_exception(val)
+                if req.deadline is not None and t0 > req.deadline:
+                    # expired before its quantum was picked: never runs
+                    req.future.set_exception(RequestTimeout(t0 - req.enqueued_at))
+                    self._record_dropped(req.ctx, "timeout")
+                    continue
+                batch.append(req)
+            self._sched.dispatched(name, taken)
+            if batch:
+                try:
+                    outcomes = self._execute_batch(t, batch, t0)
+                except Exception as exc:
+                    outcomes = [(False, exc)] * len(batch)
+                self.admission.note_drained(len(batch), self._clock() - t0)
+                for req, (ok, val) in zip(batch, outcomes):
+                    fut = req.future
+                    if fut.done():
+                        continue
+                    if ok:
+                        fut.set_result(val)
+                    else:
+                        fut.set_exception(val)
+            # let arrivals that came due during the quantum be admitted,
+            # shed or degraded before the next pick
+            await asyncio.sleep(0)
 
-    # -- worker-thread execution ---------------------------------------
+    # -- quantum execution ---------------------------------------------
     def _execute_batch(self, t: _Tenant, batch: list[_Request], t0: float):
-        """Execute one tenant quantum off the event loop.
+        """Execute one tenant quantum on the event-loop thread.
 
         Mutations act as barriers: the quantum splits into query
         segments at each insert/erase, so a request's answer always
         reflects exactly the mutations queued ahead of it.  Within a
-        segment, exact requests ride the coalescing service (batching +
-        cache) and degraded kNN requests go straight to the index's
-        home-shard-only path.
+        segment, exact requests are one :meth:`GeometryService.execute`
+        call (dedup + cache) and degraded kNN requests go straight to
+        the index's home-shard-only path.
         """
         out: dict[int, tuple[bool, object]] = {}
         segment: list[_Request] = []
@@ -717,36 +724,26 @@ class Frontend:
         exact = [r for r in batch if not r.degraded]
         degraded = [r for r in batch if r.degraded]
 
-        tickets = []
-        for r in exact:
+        if exact:
             try:
-                tickets.append(
-                    (r, self._service.submit(t.name, r.kind, r.payload,
-                                             timeout=None, ctx=r.ctx, **r.kw))
-                )
-            except Exception as exc:
-                out[id(r)] = (False, exc)
-                self._record_dropped(r.ctx, "error", error=exc)
-        if tickets:
-            self._service.flush(t.name)
-        for r, tk in tickets:
-            try:
-                value = tk.result(0)
-            except Exception as exc:
-                out[id(r)] = (False, exc)
-                self._record_dropped(r.ctx, "error", error=exc)
-                continue
-            m = tk.metrics
-            hit = bool(m.cache_hit) if m else False
-            if hit:
-                t.m_hits.inc()
-            t.m_completed.inc()
-            trace_id, phases = self._observe_ok(t, r, t0, m=m, hit=hit)
-            out[id(r)] = (True, Reply(
-                value=value, approximate=False, tenant=t.name,
-                kind=r.kind, queue_wait=t0 - r.enqueued_at, cache_hit=hit,
-                trace_id=trace_id, phases=phases,
-            ))
+                outcomes = self._service.execute(t.name, exact)
+            except Exception as exc:  # the service refused the whole slab
+                outcomes = [Outcome(error=exc)] * len(exact)
+            for r, o in zip(exact, outcomes):
+                if o.error is not None:
+                    out[id(r)] = (False, o.error)
+                    self._record_dropped(r.ctx, "error", error=o.error)
+                    continue
+                m = o.metrics
+                if m.cache_hit:
+                    t.m_hits.inc()
+                t.m_completed.inc()
+                trace_id, phases = self._observe_ok(t, r, t0, m=m, hit=m.cache_hit)
+                out[id(r)] = (True, Reply(
+                    value=o.value, approximate=False, tenant=t.name,
+                    kind=r.kind, queue_wait=t0 - r.enqueued_at,
+                    cache_hit=m.cache_hit, trace_id=trace_id, phases=phases,
+                ))
 
         if degraded:
             groups: dict[tuple, list[_Request]] = {}
@@ -822,7 +819,6 @@ class Frontend:
                     req.future.set_exception(ServiceClosed("frontend is closed"))
         if self._own_service:
             self._service.close()
-        self._pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "Frontend":
         return self

@@ -256,15 +256,19 @@ async def _drive(frontend, load: TenantLoad, rec: _Recorder, samples,
         burst_frac=load.burst_frac, seed=load.seed,
     )
     start = clock()
-    tasks = []
+    # finished tasks leave the set: a long overload run does not keep
+    # every request's task alive for the garbage collector to rescan
+    tasks = set()
     for op, off in zip(load.trace, offs):
         delay = off * time_scale - (clock() - start)
         if delay > 0:
             await asyncio.sleep(delay)
         # open loop: issue unconditionally, never wait for completion
-        tasks.append(asyncio.ensure_future(
+        task = asyncio.ensure_future(
             _issue(frontend, load, op, rec, samples, max_samples, clock)
-        ))
+        )
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
         watermark[0] = max(watermark[0], frontend.pending())
     if tasks:
         await asyncio.gather(*tasks)

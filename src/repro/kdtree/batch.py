@@ -693,7 +693,8 @@ def _range_ball_results(index, centers: np.ndarray, radii: np.ndarray) -> list[n
     return index.range_query_ball_batch(centers, radii)
 
 
-def execute_requests(index, requests, costs_out: list | None = None) -> list:
+def execute_requests(index, requests, costs_out: list | None = None,
+                     errors_out: list | None = None) -> list:
     """Execute a *heterogeneous* batch of single-query requests.
 
     ``requests`` is a sequence of ``(kind, payload, params)`` where
@@ -713,7 +714,7 @@ def execute_requests(index, requests, costs_out: list | None = None) -> list:
 
     Requests are grouped by ``(kind, params)`` preserving first-seen
     order and each group runs as ONE dispatch per tree, so a mixed slab
-    from the service's coalescer costs a handful of numpy dispatches
+    from the query service costs a handful of numpy dispatches
     instead of one tree walk per request.  Each tree call picks its
     engine from its own batch size (:func:`resolve_engine`).  Results
     come back in input order and are bitwise-identical to running each
@@ -734,6 +735,13 @@ def execute_requests(index, requests, costs_out: list | None = None) -> list:
     capture.  Charge *composition* is unchanged: captures absorb
     serially into the enclosing frame, the same composition the
     uncaptured path records.
+
+    When ``errors_out`` is a list it is filled with one entry per
+    request: ``None``, or the exception its group raised.  A raising
+    group then fails only its own members -- the other groups still run
+    and their results are returned; the failed members' results stay
+    ``None``.  Without it the first raising group's exception
+    propagates.
     """
     results: list = [None] * len(requests)
     groups: dict[tuple, list[int]] = {}
@@ -750,18 +758,28 @@ def execute_requests(index, requests, costs_out: list | None = None) -> list:
 
         del costs_out[:]
         costs_out.extend([0.0] * len(requests))
+    if errors_out is not None:
+        del errors_out[:]
+        errors_out.extend([None] * len(requests))
 
     for key in order:
         kind, params = key[0], dict(key[1])
         idxs = groups[key]
-        if costs_out is not None:
-            with _capture() as _group_cost:
+        try:
+            if costs_out is not None:
+                with _capture() as _group_cost:
+                    _run_group(index, requests, results, kind, params, idxs)
+                per_member = _group_cost.work / len(idxs)
+                for i in idxs:
+                    costs_out[i] = per_member
+            else:
                 _run_group(index, requests, results, kind, params, idxs)
-            per_member = _group_cost.work / len(idxs)
+        except Exception as exc:
+            if errors_out is None:
+                raise
             for i in idxs:
-                costs_out[i] = per_member
-        else:
-            _run_group(index, requests, results, kind, params, idxs)
+                results[i] = None
+                errors_out[i] = exc
     return results
 
 

@@ -4,14 +4,15 @@ PR 3's span tree sees the *inside* of one fork-join computation; this
 module adds the other half — **per-request attribution** across the
 serving stack.  A :class:`RequestContext` is minted when a request
 enters the front-end and rides it through the weighted-fair queue, the
-coalescer batch, the scatter-gather slabs, and the worker processes, so
+service's batch, the scatter-gather slabs, and the worker processes, so
 a p999 outlier can be decomposed into *phases*:
 
 ``queue_wait``
     waiting in the tenant's front-end queue for the weighted-fair
     dispatcher to pick its quantum;
 ``dispatch``
-    executor hand-off, coalescing, and grouping overhead (the residual
+    quantum assembly, request normalization, cache probes and grouping
+    overhead in the front end and the service (the residual
     of the measured latency after the attributed phases — computed
     last, so the phases always sum to the request's latency);
 ``compute``

@@ -1,18 +1,20 @@
 """``repro.serve`` — in-process geometry query service.
 
-The serving layer over the batched query engine (PR 1): single kNN /
-range / allnn requests against registered ``KDTree`` / ``BDLTree``
-indexes are dynamically coalesced into vectorized batches, answered
-through a version-keyed LRU result cache, and protected by bounded-queue
-admission control with typed overload/timeout rejection.  See
-:mod:`repro.serve.service` for the full design notes.
+The serving core over the batched query engine: a slab of kNN / range /
+allnn / view requests against a registered ``KDTree`` / ``BDLTree`` /
+``ShardedIndex`` is answered in one synchronous
+:meth:`GeometryService.execute` call — deduplicated, run as one
+vectorized batch, and cached under a version-keyed LRU key.  Queueing,
+fair ordering, admission and timeouts live in the asyncio front end
+(:mod:`repro.frontend`).  See :mod:`repro.serve.service` for the full
+design notes.
 
 Quickstart::
 
     from repro import KDTree, dataset
     from repro.serve import GeometryService
 
-    svc = GeometryService(max_batch=256, max_pending=4096)
+    svc = GeometryService(max_batch=256)
     svc.register("pts", KDTree(dataset("2D-U-10K").coords))
     d, ids = svc.knn("pts", [50.0, 50.0], k=8)     # single request
     hits = svc.range_ball("pts", [50.0, 50.0], 5.0)
@@ -20,7 +22,6 @@ Quickstart::
 """
 
 from .cache import ResultCache, make_key, query_digest
-from .coalescer import Coalescer, PendingRequest, Ticket
 from .errors import (
     Overloaded,
     RequestTimeout,
@@ -29,7 +30,7 @@ from .errors import (
     UnknownDataset,
 )
 from .metrics import RequestMetrics, ServiceStats
-from .service import KINDS, GeometryService
+from .service import KINDS, GeometryService, Outcome, Request
 from .trace import (
     ReplayReport,
     TraceMismatch,
@@ -44,19 +45,18 @@ from .trace import (
 )
 
 __all__ = [
-    "Coalescer",
     "GeometryService",
     "KINDS",
     "Overloaded",
-    "PendingRequest",
+    "Outcome",
     "ReplayReport",
+    "Request",
     "RequestMetrics",
     "RequestTimeout",
     "ResultCache",
     "ServeError",
     "ServiceClosed",
     "ServiceStats",
-    "Ticket",
     "UnknownDataset",
     "load_trace",
     "make_key",

@@ -2,10 +2,11 @@
 
 Every failure a client can observe is a distinct exception type, so
 callers can branch on overload vs timeout vs misconfiguration instead
-of parsing messages.  ``Overloaded`` in particular is the service's
-backpressure signal: it is raised *synchronously* at submission time
-when the bounded queue is full, which sheds excess load instead of
-letting queue delay degrade every request.
+of parsing messages.  ``Overloaded`` and ``RequestTimeout`` are raised
+by the front end (:mod:`repro.frontend`), the one layer that queues:
+``Overloaded`` is its backpressure signal, raised *synchronously* at
+submission when admission control sheds the request, which sheds
+excess load instead of letting queue delay degrade every request.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ class UnknownDataset(ServeError, KeyError):
 
 
 class Overloaded(ServeError):
-    """Admission control rejected the request: the pending queue is full.
+    """Admission control rejected the request: the queue is full.
 
     Attributes
     ----------
     pending:
         Number of requests queued when the rejection happened.
     limit:
-        The bound admission control enforced (``max_pending`` for the
-        service's coalescing queue, the reject depth for the front-end).
+        The bound admission control enforced (the front end's reject
+        depth or per-tenant queue bound).
     retry_after:
         Seconds the client should back off before retrying, when the
         rejecting layer can estimate one (None otherwise).  The

@@ -1,20 +1,19 @@
 """Per-request metrics and the service-wide stats snapshot.
 
-Each resolved :class:`~repro.serve.coalescer.Ticket` carries a
-:class:`RequestMetrics` describing what happened to that one request:
-how long it waited in the coalescing queue, how large a batch it was
-dispatched with, whether it was served from the cache, and the
-work/depth cost the batch execution charged on its behalf (captured
-with :func:`repro.parlay.workdepth.capture`, so costs on the ``threads``
-backend attribute to the right request stream).
+Each request :meth:`~repro.serve.service.GeometryService.execute`
+answers carries a :class:`RequestMetrics` describing what happened to
+that one request: how large a batch it was executed with, whether it
+was served from the cache, and the work/depth cost the batch execution
+charged on its behalf (captured with
+:func:`repro.parlay.workdepth.capture`, so costs on the ``threads``
+backend attribute to the right request stream).  Queueing, admission
+and deadlines belong to the front end, which records them itself.
 
-:class:`ServiceStats` aggregates the same quantities service-wide.
-Since PR 3 its counters live on a
-:class:`~repro.obs.registry.MetricsRegistry` — the unified metrics
-surface — so the service's request counters, its cache gauges, and its
-coalescing-queue gauge share one registry that renders both a JSON
-snapshot and Prometheus text exposition.  ``snapshot()`` remains the
-stable monitoring API with unchanged keys.
+:class:`ServiceStats` aggregates the same quantities service-wide on a
+:class:`~repro.obs.registry.MetricsRegistry` -- the unified metrics
+surface -- so the service's request counters and its cache gauges share
+one registry that renders both a JSON snapshot and Prometheus text
+exposition.
 """
 
 from __future__ import annotations
@@ -33,28 +32,25 @@ BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 class RequestMetrics:
     """What happened to one request.
 
-    ``queue_wait`` is seconds spent between submission and dispatch (0
-    for submit-time cache hits); ``batch_size`` is the number of unique
-    queries executed in the dispatch this request joined (0 when no
-    execution was needed); ``work`` is the request's *exact* share of
-    the batch's charged work — proportional to the work its request
-    group charged, partitioned with
-    :func:`repro.obs.rtrace.partition_work` so member shares sum to the
-    batch total exactly — and ``depth`` is the batch's critical path
-    (shared, not divided).
+    ``batch_size`` is the number of unique queries executed in the
+    dispatch this request joined (0 when no execution was needed);
+    ``work`` is the request's *exact* share of the batch's charged work
+    — proportional to the work its request group charged, partitioned
+    with :func:`repro.obs.rtrace.partition_work` so member shares sum
+    to the batch total exactly — and ``depth`` is the batch's critical
+    path (shared, not divided).
 
-    The trailing fields (defaulted, so positional construction is
-    unchanged) carry request-tracing detail: ``exec_wall`` is the wall
-    time of the batch's vectorized execution and ``merge_wall`` the
-    seconds between execution end and this request's resolution (cache
-    fills + result distribution); ``batch_work`` is the whole batch's
-    charged work (``work`` divided by it gives this request's compute
-    fraction); ``batch_sid``/``bundle`` link to the batch's
-    ``serve.dispatch`` span and its completed subtree when tracing was
-    enabled (the bundle list is *shared* by every member request).
+    The trailing (defaulted) fields carry request-tracing detail:
+    ``exec_wall`` is the wall time of the batch's vectorized execution
+    and ``merge_wall`` the seconds between execution end and this
+    request's answer (cache fills + result distribution);
+    ``batch_work`` is the whole batch's charged work (``work`` divided
+    by it gives this request's compute fraction); ``batch_sid``/
+    ``bundle`` link to the batch's ``serve.dispatch`` span and its
+    completed subtree when tracing was enabled (the bundle list is
+    *shared* by every member request).
     """
 
-    queue_wait: float
     batch_size: int
     cache_hit: bool
     work: float
@@ -69,11 +65,10 @@ class RequestMetrics:
 class ServiceStats:
     """Service-wide aggregate counters on a shared metrics registry.
 
-    The mutator API (``record_*``) and the ``snapshot()`` keys are
-    unchanged from the pre-registry implementation; the counters are
-    now :class:`~repro.obs.registry.Counter`/``Gauge``/``Histogram``
-    instances, so the same state is also available through
-    ``registry.snapshot()`` and ``registry.render_prometheus()``.
+    The counters are :class:`~repro.obs.registry.Counter`/``Gauge``/
+    ``Histogram`` instances, so the state :meth:`snapshot` reports is
+    also available through ``registry.snapshot()`` and
+    ``registry.render_prometheus()``.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -82,13 +77,9 @@ class ServiceStats:
         self._submitted = r.counter(
             "serve_submitted_total", "requests submitted to the service")
         self._accepted = r.counter(
-            "serve_accepted_total", "requests admitted past backpressure")
-        self._rejected = r.counter(
-            "serve_rejected_total", "requests shed by admission control")
+            "serve_accepted_total", "requests that passed validation")
         self._completed = r.counter(
             "serve_completed_total", "requests resolved with a result")
-        self._timeouts = r.counter(
-            "serve_timeouts_total", "requests rejected past their deadline")
         self._cache_hits = r.counter(
             "serve_cache_hits_total", "requests served without execution")
         self._cache_misses = r.counter(
@@ -102,8 +93,6 @@ class ServiceStats:
         self._batch_sizes = r.histogram(
             "serve_batch_size", "requests per coalesced dispatch",
             buckets=BATCH_BUCKETS)
-        self._queue_wait = r.counter(
-            "serve_queue_wait_seconds_total", "total seconds spent queued")
         self._work = r.counter(
             "serve_work_charged_total", "work-model units charged by dispatches")
         self._depth = r.counter(
@@ -127,27 +116,20 @@ class ServiceStats:
         return int(self._batches.value)
 
     # -- mutators ----------------------------------------------------------
-    def record_submit(self) -> None:
-        self._submitted.inc()
+    def record_submit(self, n: int = 1) -> None:
+        self._submitted.inc(n)
 
-    def record_accept(self) -> None:
-        self._accepted.inc()
+    def record_accept(self, n: int = 1) -> None:
+        self._accepted.inc(n)
 
-    def record_reject(self) -> None:
-        self._rejected.inc()
-
-    def record_hit(self, n: int = 1, completed: int | None = None) -> None:
+    def record_hit(self, n: int = 1) -> None:
         self._cache_hits.inc(n)
-        self._completed.inc(completed if completed is not None else n)
-
-    def record_timeout(self, n: int = 1) -> None:
-        self._timeouts.inc(n)
+        self._completed.inc(n)
 
     def record_batch(
         self,
         resolved: int,
         executed: int,
-        queue_wait: float,
         work: float,
         depth: float,
     ) -> None:
@@ -162,7 +144,6 @@ class ServiceStats:
         # duplicate / already-cached riders count as hits: they were
         # served without their own execution
         self._cache_hits.inc(max(resolved - executed, 0))
-        self._queue_wait.inc(queue_wait)
         self._work.inc(work)
         self._depth.inc(depth)
 
@@ -178,9 +159,7 @@ class ServiceStats:
         return {
             "submitted": int(v["serve_submitted_total"]),
             "accepted": int(v["serve_accepted_total"]),
-            "rejected": int(v["serve_rejected_total"]),
             "completed": int(v["serve_completed_total"]),
-            "timeouts": int(v["serve_timeouts_total"]),
             "cache_hits": int(hits),
             "cache_misses": int(misses),
             "hit_rate": hits / looked_up if looked_up else 0.0,
@@ -188,9 +167,6 @@ class ServiceStats:
             "batched_requests": int(batched),
             "avg_batch_size": batched / batches if batches else 0.0,
             "max_batch_size": int(v["serve_batch_max_size"]),
-            "avg_queue_wait_s": (
-                v["serve_queue_wait_seconds_total"] / batched if batched else 0.0
-            ),
             "work_charged": v["serve_work_charged_total"],
             "depth_charged": v["serve_depth_charged_total"],
         }

@@ -9,18 +9,19 @@ JSONL:
 * ``{"op": "allnn"}``
 * ``{"op": "insert", "pts": [[...], ...]}`` / ``{"op": "erase", "pts":
   [[...], ...]}`` — mutation batches, applied to the registered index
-  (BDLTree) between queries; pending queries are flushed first so the
-  replay is deterministic.  When the index carries a
+  (BDLTree) between queries; the queries before a mutation are answered
+  first, so the replay is deterministic.  When the index carries a
   :class:`~repro.views.manager.ViewManager`, mutations route through it
   so materialized views repair incrementally.
 * ``{"op": "view", "name": "closest_pair"}`` — read a materialized
   view; the reply is the version-keyed ``(answer, version)``.
 
 :func:`replay` feeds a trace through a :class:`GeometryService`
-(dynamic batching + cache), while :func:`run_unbatched` is the
-one-request-at-a-time recursive-engine loop the service is benchmarked
-against; both produce results in the same convention (global ids), so
-replays can be checked for bitwise equality.
+(``max_batch`` slabs between mutations + the versioned cache), while
+:func:`run_unbatched` is the one-request-at-a-time recursive-engine
+loop the service is benchmarked against; both produce results in the
+same convention (global ids), so replays can be checked for bitwise
+equality.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Overloaded
-from .service import GeometryService
+from .service import GeometryService, Request
 
 __all__ = [
     "ReplayReport",
@@ -357,7 +357,6 @@ class ReplayReport:
 
     n_requests: int
     completed: int
-    rejected: int
     errors: int
     seconds: float
     results: list = field(repr=False, default_factory=list)
@@ -378,107 +377,85 @@ class ReplayReport:
             f"hit-rate {s.get('hit_rate', 0.0):.1%} | "
             f"avg batch {s.get('avg_batch_size', 0.0):.1f} "
             f"(max {s.get('max_batch_size', 0)}) | "
-            f"rejected {self.rejected}, timeouts {s.get('timeouts', 0)}, "
             f"errors {self.errors}"
         )
 
 
-#: placeholder ticket for mutation ops so replay results align with the trace
-_MUTATION = object()
-
-
-def _submit_op(service: GeometryService, dataset: str, op: dict, timeout):
+def _request(op: dict) -> Request:
     kind = op["op"]
     if kind == "knn":
-        return service.submit(dataset, "knn", op["q"], k=int(op["k"]),
-                              exclude_self=bool(op.get("exclude_self", False)),
-                              timeout=timeout)
+        return Request("knn", op["q"], {
+            "k": op["k"], "exclude_self": op.get("exclude_self", False)})
     if kind == "ball":
-        return service.submit(dataset, "ball", op["c"], radius=float(op["r"]),
-                              timeout=timeout)
+        return Request("ball", op["c"], {"radius": op["r"]})
     if kind == "box":
-        return service.submit(dataset, "box", (op["lo"], op["hi"]), timeout=timeout)
+        return Request("box", (op["lo"], op["hi"]))
     if kind == "allnn":
-        return service.submit(dataset, "allnn", timeout=timeout)
+        return Request("allnn")
     if kind == "view":
-        return service.submit(dataset, "view", op["name"], timeout=timeout)
+        return Request("view", op["name"])
     raise ValueError(f"unknown trace op {kind!r}")
 
 
-def replay(
-    service: GeometryService,
-    dataset: str,
-    trace: list[dict],
-    *,
-    timeout: float | None = None,
-) -> ReplayReport:
+def _group(op: dict) -> tuple:
+    """Requests of one group run as one engine dispatch per tree."""
+    return (op["op"], int(op.get("k", 0)), bool(op.get("exclude_self", False)))
+
+
+def replay(service: GeometryService, dataset: str, trace: list[dict]) -> ReplayReport:
     """Feed a trace through the service; returns results + throughput.
 
-    Without a background dispatcher, submission overload triggers an
-    inline :meth:`~GeometryService.flush` and one retry (client-side
-    backoff); with a dispatcher running, overloads simply count as
-    shed.  Mutation ops flush pending queries first, then apply to the
-    registered index directly.
+    The queries between two mutations are ordered by group (kind, k)
+    and cut into slabs of the service's ``max_batch``, so each group
+    reaches the engine in batches as large as the slab allows; each
+    slab is one :meth:`~GeometryService.execute` call.  Mutation ops
+    apply to the registered index directly, after every query ahead of
+    them was answered.
     """
-    tickets: list = []
-    rejected = 0
-    manual = service._thread is None
-    t0 = time.perf_counter()
-    for op in trace:
-        if op["op"] in ("insert", "erase"):
-            if manual:
-                service.flush()
-            index = service.index(dataset)
-            # mutate through the view manager when one is attached, so
-            # registered views repair instead of resyncing on next read
-            target = getattr(index, "views", None) or index
-            pts = np.asarray(op["pts"], dtype=np.float64)
-            if op["op"] == "insert":
-                target.insert(pts)
-            else:
-                target.erase(pts)
-            tickets.append(_MUTATION)
-            continue
-        try:
-            tickets.append(_submit_op(service, dataset, op, timeout))
-        except Overloaded:
-            if manual:
-                service.flush()
-                try:
-                    tickets.append(_submit_op(service, dataset, op, timeout))
-                    continue
-                except Overloaded:
-                    pass
-            rejected += 1
-            tickets.append(None)
-    if manual:
-        service.flush()
-    results = []
+    results: list = [None] * len(trace)
     errors = 0
     completed = 0
     n_queries = 0
     first_error = None
-    for t in tickets:
-        if t is _MUTATION:
-            results.append(None)
+    pending: list[int] = []  # trace positions of queries not yet executed
+
+    def run_pending() -> None:
+        nonlocal errors, completed, first_error
+        pending.sort(key=lambda p: _group(trace[p]))
+        for lo in range(0, len(pending), service.max_batch):
+            pos = pending[lo:lo + service.max_batch]
+            outcomes = service.execute(dataset, [_request(trace[p]) for p in pos])
+            for p, o in zip(pos, outcomes):
+                if o.error is None:
+                    results[p] = o.value
+                    completed += 1
+                else:
+                    errors += 1
+                    if first_error is None:
+                        first_error = repr(o.error)
+        pending.clear()
+
+    t0 = time.perf_counter()
+    for p, op in enumerate(trace):
+        if op["op"] not in ("insert", "erase"):
+            n_queries += 1
+            pending.append(p)
             continue
-        n_queries += 1
-        if t is None:
-            results.append(None)
-            continue
-        try:
-            results.append(t.result(timeout))
-            completed += 1
-        except Exception as exc:
-            errors += 1
-            if first_error is None:
-                first_error = repr(exc)
-            results.append(None)
+        run_pending()
+        index = service.index(dataset)
+        # mutate through the view manager when one is attached, so
+        # registered views repair instead of resyncing on next read
+        target = getattr(index, "views", None) or index
+        pts = np.asarray(op["pts"], dtype=np.float64)
+        if op["op"] == "insert":
+            target.insert(pts)
+        else:
+            target.erase(pts)
+    run_pending()
     seconds = time.perf_counter() - t0
     return ReplayReport(
         n_requests=n_queries,
         completed=completed,
-        rejected=rejected,
         errors=errors,
         seconds=seconds,
         results=results,

@@ -1,6 +1,7 @@
 """Tests for repro.frontend: quotas, fair dispatch, admission, degradation."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -303,6 +304,71 @@ class TestFrontendQueries:
         asyncio.run(go())
 
 
+    def test_quanta_run_on_the_event_loop_thread(self):
+        tree = KDTree(_pts(300))
+        walk = tree.knn
+        threads = []
+
+        def recording_walk(*a, **kw):
+            threads.append(threading.get_ident())
+            return walk(*a, **kw)
+
+        tree.knn = recording_walk
+
+        async def go():
+            async with _frontend(tree, max_batch=4) as fe:
+                await asyncio.gather(*[
+                    fe.knn("t", [float(i), 5.0], 3) for i in range(12)
+                ])
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(go())
+        assert len(threads) == 3  # three quanta of four
+        assert set(threads) == {loop_thread}
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_bad_request_fails_only_itself(self, sharded):
+        pts = _pts(400, seed=5)
+        index = ShardedIndex(pts, 4) if sharded else KDTree(pts)
+        qs = pts[:6] + 0.5
+
+        async def go():
+            async with _frontend(index) as fe:
+                return await asyncio.gather(*[
+                    fe.knn("t", q, 0 if j == 3 else 4)
+                    for j, q in enumerate(qs)
+                ], return_exceptions=True)
+
+        outs = asyncio.run(go())
+        assert isinstance(outs[3], ValueError)
+        exact_d2, exact_ids = index.knn(qs, 4)
+        for j, r in enumerate(outs):
+            if j == 3:
+                continue
+            assert not isinstance(r, Exception), r
+            assert np.array_equal(r.value[0], exact_d2[j])
+            assert np.array_equal(r.value[1], exact_ids[j])
+        if sharded:
+            index.close()
+
+    def test_non_finite_queries_get_a_typed_error(self):
+        nan = float("nan")
+
+        async def go():
+            async with _frontend(ShardedIndex(_pts(300), 4)) as fe:
+                with pytest.raises(ValueError, match="finite"):
+                    await fe.knn("t", [nan, 1.0], 3)
+                with pytest.raises(ValueError, match="finite"):
+                    await fe.box("t", [0.0, 0.0], [float("inf"), 1.0])
+                with pytest.raises(ValueError, match="NaN"):
+                    await fe.ball("t", [1.0, 1.0], nan)
+                r = await fe.knn("t", [1.0, 1.0], 3)  # the tenant still serves
+                assert len(r.value[0]) == 3
+                fe.tenant_index("t").close()
+
+        asyncio.run(go())
+
+
 class TestQuota:
     def test_quota_exhaustion_is_typed_and_state_safe(self):
         clk = FakeClock()
@@ -456,6 +522,32 @@ class TestCancellationAndTimeout:
             # the dispatcher skipped the cancelled future and keeps serving
             r = await fe.knn("t", [2.0, 2.0], 4)
             assert not r.approximate
+            await fe.close()
+
+        asyncio.run(go())
+
+    def test_expired_request_never_reaches_the_index(self):
+        clock = FakeClock()
+        tree = KDTree(_pts())
+        walk = tree.knn
+        calls = []
+
+        def counting_walk(*a, **kw):
+            calls.append(1)
+            return walk(*a, **kw)
+
+        tree.knn = counting_walk
+
+        async def go():
+            fe = _frontend(tree, clock=clock)
+            task = asyncio.ensure_future(fe.knn("t", [1.0, 1.0], 3, timeout=5.0))
+            await asyncio.sleep(0)  # enqueued at t=0; the dispatcher is due
+            clock.advance(10.0)     # the deadline passes before the pick
+            with pytest.raises(RequestTimeout):
+                await task
+            assert not calls
+            r = await fe.knn("t", [2.0, 2.0], 3)
+            assert not r.approximate and calls == [1]
             await fe.close()
 
         asyncio.run(go())

@@ -370,10 +370,10 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 class TestServiceOnRegistry:
     EXPECTED_KEYS = {
-        "submitted", "accepted", "rejected", "completed", "timeouts",
+        "submitted", "accepted", "completed",
         "cache_hits", "cache_misses", "hit_rate", "batches",
         "batched_requests", "avg_batch_size", "max_batch_size",
-        "avg_queue_wait_s", "work_charged", "depth_charged",
+        "work_charged", "depth_charged",
     }
 
     def test_snapshot_keys_unchanged(self):
@@ -382,7 +382,7 @@ class TestServiceOnRegistry:
         stats = ServiceStats()
         stats.record_submit()
         stats.record_accept()
-        stats.record_batch(4, 3, 0.01, 100.0, 5.0)
+        stats.record_batch(4, 3, 100.0, 5.0)
         snap = stats.snapshot()
         assert set(snap) == self.EXPECTED_KEYS
         assert snap["submitted"] == 1
@@ -406,7 +406,6 @@ class TestServiceOnRegistry:
         assert snap["serve_cache_hits_total"] == 1
         assert snap["serve_cache_size"] == 1
         assert snap["serve_cache_capacity"] == 64
-        assert snap["serve_pending"] == 0
         text = svc.metrics_text()
         assert "# TYPE serve_submitted_total counter" in text
         assert "serve_submitted_total 2" in text
@@ -492,7 +491,7 @@ class TestCLI:
         assert rc == 0
         snap = json.loads(mout.read_text())
         for key in ("submitted", "completed", "hit_rate", "cache_size",
-                    "pending", "registry"):
+                    "registry"):
             assert key in snap
 
 

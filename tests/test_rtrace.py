@@ -35,7 +35,7 @@ from repro.obs.rtrace import (
 from repro.obs.slo import Objective, SLOTracker
 from repro.obs.span import SpanRecorder, disable_tracing, enable_tracing
 from repro.parlay.scheduler import use_backend
-from repro.serve.service import GeometryService
+from repro.serve.service import GeometryService, Request
 
 
 def _pts(n=400, d=2, seed=0):
@@ -556,11 +556,11 @@ class TestServiceAttribution:
         svc = GeometryService(max_batch=32)
         svc.register("d", KDTree(_pts(300)))
         ctx = make_context("d", "knn")
-        tk = svc.submit("d", "knn", _pts(1, seed=3)[0], timeout=None,
-                        ctx=ctx, k=3)
-        svc.flush("d")
-        tk.result(1.0)
-        m = tk.metrics
+        (o,) = svc.execute(
+            "d", [Request("knn", _pts(1, seed=3)[0], {"k": 3}, ctx)]
+        )
+        assert o.error is None
+        m = o.metrics
         assert m.batch_work >= m.work >= 0.0
         assert m.exec_wall >= 0.0 and m.merge_wall >= 0.0
         svc.close()
@@ -572,13 +572,11 @@ class TestServiceAttribution:
         enable_tracing(rec)
         try:
             ctxs = [make_context("d", "knn") for _ in range(4)]
-            tks = [
-                svc.submit("d", "knn", q, timeout=None, ctx=c, k=3)
+            outs = svc.execute("d", [
+                Request("knn", q, {"k": 3}, c)
                 for q, c in zip(_pts(4, seed=5), ctxs)
-            ]
-            svc.flush("d")
-            for tk in tks:
-                tk.result(1.0)
+            ])
+            assert all(o.error is None for o in outs)
         finally:
             disable_tracing()
             svc.close()
@@ -589,5 +587,5 @@ class TestServiceAttribution:
         for c in ctxs:
             assert c.trace_id in links
         # each member got its share; shares re-sum to the batch total
-        ms = [tk.metrics for tk in tks]
+        ms = [o.metrics for o in outs]
         assert math.fsum(m.work for m in ms) == ms[0].batch_work

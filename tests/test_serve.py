@@ -1,5 +1,6 @@
-"""Tests for repro.serve: coalescing, caching, versioning, backpressure."""
+"""Tests for repro.serve: execution, caching, versioning, errors, replay."""
 
+import asyncio
 import threading
 import time
 
@@ -9,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdl import BDLTree
+from repro.cluster import ShardedIndex
+from repro.frontend import Frontend
 from repro.kdtree import KDTree, all_nearest_neighbors, knn
 from repro.serve import (
-    Coalescer,
     GeometryService,
     Overloaded,
-    PendingRequest,
+    Request,
     RequestTimeout,
     ResultCache,
     ServiceClosed,
-    Ticket,
     TraceMismatch,
     UnknownDataset,
     load_trace,
@@ -46,6 +47,14 @@ def _service(index, name="data", **kw):
     return svc
 
 
+def _execute(svc, requests, name="data"):
+    """Answers and metrics of one slab; every request must succeed."""
+    outs = svc.execute(name, requests)
+    for o in outs:
+        assert o.error is None, o.error
+    return [o.value for o in outs], [o.metrics for o in outs]
+
+
 def _results_equal(a, b):
     if isinstance(a, tuple):
         return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -61,11 +70,9 @@ class TestIdentity:
         tree = KDTree(pts)
         svc = _service(tree)
         qs = pts[:25] + 0.001
-        tickets = [svc.submit("data", "knn", q, k=5) for q in qs]
-        svc.flush()
+        got, _ = _execute(svc, [Request("knn", q, {"k": 5}) for q in qs])
         dr, ir = knn(tree, qs, 5, engine="recursive")
-        for j, t in enumerate(tickets):
-            d, i = t.result(0)
+        for j, (d, i) in enumerate(got):
             assert np.array_equal(d, dr[j])
             assert np.array_equal(i, ir[j])
 
@@ -75,11 +82,9 @@ class TestIdentity:
         bdl.insert(pts)
         svc = _service(bdl)
         qs = pts[:20]
-        tickets = [svc.submit("data", "knn", q, k=4) for q in qs]
-        svc.flush()
+        got, _ = _execute(svc, [Request("knn", q, {"k": 4}) for q in qs])
         dr, ir = bdl.knn(qs, 4, engine="recursive")
-        for j, t in enumerate(tickets):
-            d, i = t.result(0)
+        for j, (d, i) in enumerate(got):
             assert np.array_equal(d, dr[j]) and np.array_equal(i, ir[j])
 
     @pytest.mark.parametrize("dynamic", [False, True])
@@ -92,12 +97,14 @@ class TestIdentity:
             index = KDTree(pts)
         svc = _service(index)
         centers = pts[:15]
-        box_t = [svc.submit("data", "box", (c - 5, c + 5)) for c in centers]
-        ball_t = [svc.submit("data", "ball", c, radius=7.5) for c in centers]
-        svc.flush()
+        got, _ = _execute(
+            svc,
+            [Request("box", (c - 5, c + 5)) for c in centers]
+            + [Request("ball", c, {"radius": 7.5}) for c in centers],
+        )
         for j, c in enumerate(centers):
-            got_box = box_t[j].result(0)
-            got_ball = ball_t[j].result(0)
+            got_box = got[j]
+            got_ball = got[len(centers) + j]
             want_box = index.range_query_box(c - 5, c + 5)
             want_ball = index.range_query_ball(c, 7.5)
             if not dynamic:
@@ -132,13 +139,12 @@ class TestCoalescing:
     def test_compatible_requests_join_one_batch(self):
         pts = _pts(200)
         svc = _service(KDTree(pts), max_batch=64)
-        tickets = [svc.submit("data", "knn", pts[j], k=3) for j in range(10)]
-        svc.flush()
-        for t in tickets:
-            t.result(0)
-            assert t.metrics.batch_size == 10
-            assert not t.metrics.cache_hit
-            assert t.metrics.work > 0
+        _, metrics = _execute(
+            svc, [Request("knn", pts[j], {"k": 3}) for j in range(10)])
+        for m in metrics:
+            assert m.batch_size == 10
+            assert not m.cache_hit
+            assert m.work > 0
         snap = svc.snapshot()
         assert snap["batches"] == 1
         assert snap["max_batch_size"] == 10
@@ -146,21 +152,20 @@ class TestCoalescing:
     def test_mixed_kinds_single_flush(self):
         pts = _pts(200)
         svc = _service(KDTree(pts), max_batch=64)
-        svc.submit("data", "knn", pts[0], k=3)
-        svc.submit("data", "knn", pts[1], k=5)          # different k: own group
-        svc.submit("data", "ball", pts[2], radius=4.0)
-        svc.submit("data", "box", (pts[3] - 1, pts[3] + 1))
-        assert svc.pending() == 4
-        served = svc.flush()
-        assert served == 4 and svc.pending() == 0
+        got, _ = _execute(svc, [
+            Request("knn", pts[0], {"k": 3}),
+            Request("knn", pts[1], {"k": 5}),   # different k: own group
+            Request("ball", pts[2], {"radius": 4.0}),
+            Request("box", (pts[3] - 1, pts[3] + 1)),
+        ])
+        assert len(got) == 4
         assert svc.snapshot()["batches"] == 1  # one coalesced dispatch
 
     def test_max_batch_splits_dispatches(self):
         pts = _pts(100)
         svc = _service(KDTree(pts), max_batch=8)
-        for j in range(20):
-            svc.submit("data", "knn", pts[j], k=2)
-        svc.flush()
+        trace = [{"op": "knn", "q": pts[j].tolist(), "k": 2} for j in range(20)]
+        assert replay(svc, "data", trace).completed == 20
         snap = svc.snapshot()
         assert snap["batches"] == 3  # 8 + 8 + 4
         assert snap["max_batch_size"] <= 8
@@ -168,31 +173,10 @@ class TestCoalescing:
     def test_duplicate_requests_share_execution(self):
         pts = _pts(100)
         svc = _service(KDTree(pts), cache_capacity=0)  # no cache: dedup only
-        t1 = svc.submit("data", "knn", pts[0], k=3)
-        t2 = svc.submit("data", "knn", pts[0], k=3)
-        svc.flush()
-        r1, r2 = t1.result(0), t2.result(0)
+        (r1, r2), (m1, m2) = _execute(svc, [Request("knn", pts[0], {"k": 3})] * 2)
         assert _results_equal(r1, r2)
         # both resolved by a single execution of one unique request
-        assert t1.metrics.batch_size == 1 and t2.metrics.batch_size == 1
-
-    def test_coalescer_takes_oldest_dataset_first(self):
-        c = Coalescer()
-
-        def req(ds, j):
-            return PendingRequest(
-                dataset=ds, kind="knn", params=(("k", 1),), payload=None,
-                digest=bytes([j]), ticket=Ticket(), enqueued_at=float(j),
-                deadline=None,
-            )
-
-        c.add(req("b", 0))
-        c.add(req("a", 1))
-        c.add(req("b", 2))
-        batch = c.take_batch(10)
-        assert [r.dataset for r in batch] == ["b", "b"]
-        assert len(c) == 1
-        assert [r.dataset for r in c.take_batch(10)] == ["a"]
+        assert m1.batch_size == 1 and m2.batch_size == 1
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +187,9 @@ class TestCache:
         pts = _pts(200)
         svc = _service(KDTree(pts))
         first = svc.knn("data", pts[5], 4)
-        t = svc.submit("data", "knn", pts[5], k=4)
-        assert t.done() and t.metrics.cache_hit  # resolved at submit
-        assert t.metrics.queue_wait == 0.0
-        assert _results_equal(t.result(0), first)
+        (got,), (m,) = _execute(svc, [Request("knn", pts[5], {"k": 4})])
+        assert m.cache_hit and m.batch_size == 0  # nothing executed
+        assert _results_equal(got, first)
         assert svc.snapshot()["cache_hits"] == 1
 
     def test_mutation_invalidates_via_version(self):
@@ -219,10 +202,8 @@ class TestCache:
         v0 = bdl.version
         bdl.insert(pts[150:])  # service-external mutation
         assert bdl.version == v0 + 1
-        t = svc.submit("data", "knn", q, k=3)
-        assert not t.done()  # old cache entry unreachable under new version
-        svc.flush()
-        d, i = t.result(0)
+        ((d, i),), (m,) = _execute(svc, [Request("knn", q, {"k": 3})])
+        assert not m.cache_hit  # old cache entry unreachable under new version
         dr, ir = bdl.knn(q[None, :], 3, engine="recursive")
         assert np.array_equal(d, dr[0]) and np.array_equal(i, ir[0])
 
@@ -279,57 +260,77 @@ class TestCache:
 
 
 # ----------------------------------------------------------------------
-# backpressure, timeouts, errors
+# overload, timeouts, errors: the service answers at once, and the
+# front end is the one place that queues, sheds and times out
 # ----------------------------------------------------------------------
 class TestBackpressure:
     def test_overload_typed_rejection_10x(self):
         pts = _pts(100, seed=9)
-        svc = _service(KDTree(pts), max_pending=20, cache_capacity=0)
-        accepted, rejected = 0, 0
-        for j in range(200):  # 10x oversubscription
-            try:
-                svc.submit("data", "knn", pts[j % 100] + j * 1e-6, k=2)
-                accepted += 1
-            except Overloaded as e:
-                rejected += 1
-                assert e.pending == 20 and e.limit == 20
-        assert accepted == 20 and rejected == 180
-        assert svc.pending() == 20  # queue stays bounded
-        snap = svc.snapshot()
-        assert snap["rejected"] == 180
-        svc.flush()
-        assert svc.pending() == 0
+
+        async def go():
+            fe = Frontend(max_batch=8, queue_depth=20, degrade_at=10_000,
+                          reject_at=10_000)
+            fe.register_tenant("data", KDTree(pts))
+            outs = await asyncio.gather(*[  # 10x oversubscription
+                fe.knn("data", pts[j % 100] + j * 1e-6, 2) for j in range(200)
+            ], return_exceptions=True)
+            rejected = [o for o in outs if isinstance(o, Overloaded)]
+            assert len(rejected) == 180
+            assert all(e.pending == 20 and e.limit == 20 for e in rejected)
+            assert sum(not isinstance(o, Exception) for o in outs) == 20
+            assert fe.snapshot()["per_tenant"]["data"]["rejected"] == 180
+            assert fe.pending() == 0  # the admitted 20 were all answered
+            await fe.close()
+
+        asyncio.run(go())
 
     def test_expired_deadline_rejected_at_dispatch(self):
+        """A request that waits out its deadline behind another tenant's
+        slow quantum times out without reaching its index."""
         pts = _pts(100, seed=10)
-        svc = _service(KDTree(pts))
-        t = svc.submit("data", "knn", pts[0], k=2, timeout=0.005)
-        time.sleep(0.02)
-        svc.flush()
-        with pytest.raises(RequestTimeout):
-            t.result(0)
-        assert svc.snapshot()["timeouts"] == 1
+        slow, fast = KDTree(pts), KDTree(pts)
+        reached = []
+        slow_knn, fast_knn = slow.knn, fast.knn
 
-    def test_result_wait_timeout(self):
-        pts = _pts(100, seed=11)
-        svc = _service(KDTree(pts))
-        t = svc.submit("data", "knn", pts[0], k=2)  # never flushed
-        with pytest.raises(RequestTimeout):
-            t.result(0.01)
+        def slow_walk(*a, **kw):
+            time.sleep(0.05)
+            return slow_knn(*a, **kw)
+
+        def fast_walk(*a, **kw):
+            reached.append(1)
+            return fast_knn(*a, **kw)
+
+        slow.knn, fast.knn = slow_walk, fast_walk
+
+        async def go():
+            fe = Frontend(max_batch=4)
+            fe.register_tenant("slow", slow)
+            fe.register_tenant("fast", fast)
+            first = asyncio.ensure_future(fe.knn("slow", pts[0], 2))
+            await asyncio.sleep(0)  # the slow quantum is picked first
+            with pytest.raises(RequestTimeout):
+                await fe.knn("fast", pts[0], 2, timeout=0.005)
+            await first
+            assert not reached
+            await fe.close()
+
+        asyncio.run(go())
 
     def test_unknown_dataset_and_bad_requests(self):
         pts = _pts(50, seed=12)
         svc = _service(KDTree(pts))
         with pytest.raises(UnknownDataset):
-            svc.submit("nope", "knn", pts[0], k=2)
+            svc.execute("nope", [Request("knn", pts[0], {"k": 2})])
+        with pytest.raises(UnknownDataset):
+            svc.knn("nope", pts[0], 2)
         with pytest.raises(ValueError):
-            svc.submit("data", "knn", pts[0])  # missing k
+            svc.knn("data", pts[0], None)  # missing k
         with pytest.raises(ValueError):
-            svc.submit("data", "ball", pts[0])  # missing radius
+            svc.range_ball("data", pts[0], None)  # missing radius
+        (o,) = svc.execute("data", [Request("warp", pts[0])])
+        assert isinstance(o.error, ValueError)
         with pytest.raises(ValueError):
-            svc.submit("data", "warp", pts[0])
-        with pytest.raises(ValueError):
-            svc.submit("data", "knn", pts[0][:1], k=2)  # wrong dim
+            svc.knn("data", pts[0][:1], 2)  # wrong dim
         with pytest.raises(TypeError):
             svc.register("bad", object())
 
@@ -338,32 +339,114 @@ class TestBackpressure:
         svc = _service(KDTree(pts))
         svc.close()
         with pytest.raises(ServiceClosed):
-            svc.submit("data", "knn", pts[0], k=2)
+            svc.knn("data", pts[0], 2)
 
 
 # ----------------------------------------------------------------------
-# background dispatcher
+# one slab, per-request outcomes
+# ----------------------------------------------------------------------
+class TestExecute:
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_bad_request_fails_only_itself(self, sharded):
+        pts = _pts(300, seed=30)
+        index = ShardedIndex(pts, 4) if sharded else KDTree(pts)
+        svc = _service(index)
+        reqs = [Request("knn", pts[j], {"k": 4}) for j in range(5)]
+        reqs.insert(2, Request("knn", pts[9], {"k": 0}))
+        outs = svc.execute("data", reqs)
+        assert isinstance(outs[2].error, ValueError)
+        assert "k must be >= 1" in str(outs[2].error)
+        dr, ir = index.knn(pts[:5], 4, engine="recursive")
+        good = [o for j, o in enumerate(outs) if j != 2]
+        for j, o in enumerate(good):
+            assert o.error is None
+            assert np.array_equal(o.value[0], dr[j])
+            assert np.array_equal(o.value[1], ir[j])
+        if sharded:
+            index.close()
+
+    def test_raising_group_fails_only_its_members(self):
+        # allnn runs on static KDTree datasets only: its group raises in
+        # the engine, the kNN group of the same slab is still answered
+        pts = _pts(200, seed=31)
+        bdl = BDLTree(dim=2, buffer_size=32)
+        bdl.insert(pts)
+        svc = _service(bdl)
+        outs = svc.execute("data", [
+            Request("knn", pts[0], {"k": 3}), Request("allnn"),
+            Request("knn", pts[1], {"k": 3}), Request("allnn"),
+        ])
+        assert isinstance(outs[1].error, ValueError)
+        assert outs[3].error is outs[1].error
+        dr, ir = bdl.knn(pts[:2], 3, engine="recursive")
+        for o, d, i in ((outs[0], dr[0], ir[0]), (outs[2], dr[1], ir[1])):
+            assert o.error is None
+            assert np.array_equal(o.value[0], d) and np.array_equal(o.value[1], i)
+        assert svc.snapshot()["completed"] == 2
+
+    def test_non_finite_queries_are_refused(self):
+        pts = _pts(100, seed=32)
+        svc = _service(KDTree(pts))
+        nan, inf = float("nan"), float("inf")
+        bad = [
+            Request("knn", [nan, 1.0], {"k": 2}),
+            Request("knn", [1.0, inf], {"k": 2}),
+            Request("box", ([0.0, nan], [5.0, 5.0])),
+            Request("box", ([0.0, 0.0], [-inf, 5.0])),
+            Request("ball", [nan, 0.0], {"radius": 1.0}),
+            Request("ball", [1.0, 1.0], {"radius": nan}),
+        ]
+        outs = svc.execute("data", bad)
+        for o in outs:
+            assert isinstance(o.error, ValueError), o
+        # a negative or infinite radius stays a valid request
+        tree = svc.index("data")
+        for r in (-1.0, inf):
+            want = tree.gids[tree.range_query_ball(pts[0], r)]
+            assert np.array_equal(svc.range_ball("data", pts[0], r), want)
+        assert len(svc.range_ball("data", pts[0], inf)) == len(pts)
+
+    def test_cache_probed_once_per_request(self):
+        pts = _pts(100, seed=33)
+        svc = _service(KDTree(pts))
+        _execute(svc, [Request("knn", pts[j], {"k": 2}) for j in range(3)])
+        assert svc._cache.misses == 3 and svc._cache.hits == 0
+        _execute(svc, [Request("knn", pts[j], {"k": 2}) for j in range(3)])
+        assert svc._cache.misses == 3 and svc._cache.hits == 3
+
+    def test_no_cache_fill_when_version_moves(self):
+        pts = _pts(200, seed=34)
+        bdl = BDLTree(dim=2, buffer_size=32)
+        bdl.insert(pts[:150])
+        svc = _service(bdl)
+        walk = bdl.knn
+
+        def mutating_walk(*a, **kw):  # a mutation races the execution
+            out = walk(*a, **kw)
+            bdl.version += 1
+            return out
+
+        bdl.knn = mutating_walk
+        svc.knn("data", pts[0], 3)
+        assert svc.snapshot()["cache_size"] == 0
+
+
+# ----------------------------------------------------------------------
+# concurrent callers: no dispatcher thread, each caller executes its own
+# slab under the shared cache
 # ----------------------------------------------------------------------
 class TestDispatcher:
-    def test_threaded_dispatch_resolves(self):
-        pts = _pts(200, seed=14)
-        tree = KDTree(pts)
-        with _service(tree, max_wait=0.001).start() as svc:
-            d, i = svc.knn("data", pts[3], 4, timeout=5.0)
-            dr, ir = knn(tree, pts[3][None, :], 4, engine="recursive")
-            assert np.array_equal(d, dr[0]) and np.array_equal(i, ir[0])
-
     def test_concurrent_clients_identical_results(self):
         pts = _pts(300, seed=15)
         tree = KDTree(pts)
         dr, ir = knn(tree, pts[:40], 3, engine="recursive")
-        svc = _service(tree, max_wait=0.001).start()
+        svc = _service(tree)
         errors = []
 
         def client(lo, hi):
             try:
                 for j in range(lo, hi):
-                    d, i = svc.knn("data", pts[j], 3, timeout=10.0)
+                    d, i = svc.knn("data", pts[j], 3)
                     assert np.array_equal(d, dr[j]) and np.array_equal(i, ir[j])
             except Exception as e:  # pragma: no cover
                 errors.append(e)
@@ -374,18 +457,8 @@ class TestDispatcher:
             t.start()
         for t in threads:
             t.join()
-        svc.stop()
         assert not errors
         assert svc.snapshot()["completed"] == 40
-
-    def test_stop_drains_pending(self):
-        pts = _pts(100, seed=16)
-        svc = _service(KDTree(pts), max_wait=0.05)
-        tickets = [svc.submit("data", "knn", pts[j], k=2) for j in range(5)]
-        svc.start()
-        svc.stop()
-        for t in tickets:
-            t.result(1.0)
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +476,7 @@ class TestTrace:
         pts = _pts(250, seed=18)
         trace = synthetic_trace(pts, 120, kinds=("knn", "ball", "box", "allnn"),
                                 repeat_frac=0.3, seed=2)
-        svc = _service(KDTree(pts), max_batch=128, max_pending=512,
-                       cache_capacity=512)
+        svc = _service(KDTree(pts), max_batch=128, cache_capacity=512)
         report = replay(svc, "data", trace)
         assert report.completed == len(trace) and report.errors == 0
         baseline = run_unbatched(KDTree(pts), trace)
@@ -427,7 +499,7 @@ class TestTrace:
             b.insert(pts)
             return b
 
-        svc = GeometryService(max_batch=64, max_pending=512)
+        svc = GeometryService(max_batch=64)
         svc.register("data", build())
         report = replay(svc, "data", trace)
         baseline = run_unbatched(build(), trace)
@@ -541,43 +613,71 @@ class TestClose:
             svc.knn("data", _pts(50, seed=20)[0], 2)
 
     def test_close_drains_queued_requests(self):
+        # the front end holds the only queue; closing it answers every
+        # queued request through the service it owns
         pts = _pts(300, seed=21)
-        svc = _service(KDTree(pts), max_batch=16)
-        tickets = [svc.submit("data", "knn", pts[i], k=3) for i in range(40)]
-        svc.close()  # manual mode: everything still queued at close time
-        for i, t in enumerate(tickets):
-            d, ids = t.result(0)  # must already be resolved
-            dr, ir = KDTree(pts).knn(pts[i][None, :], 3)
-            assert np.array_equal(d, dr[0]) and np.array_equal(ids, ir[0])
+        dr, ir = KDTree(pts).knn(pts[:40], 3)
+
+        async def go():
+            fe = Frontend(max_batch=16)
+            fe.register_tenant("data", KDTree(pts))
+            tasks = [asyncio.ensure_future(fe.knn("data", pts[i], 3))
+                     for i in range(40)]
+            await asyncio.sleep(0)  # all queued, none dispatched yet
+            await fe.close()
+            for i, reply in enumerate(await asyncio.gather(*tasks)):
+                d, ids = reply.value
+                assert np.array_equal(d, dr[i]) and np.array_equal(ids, ir[i])
+            with pytest.raises(ServiceClosed):
+                fe._service.knn("data", pts[0], 3)
+
+        asyncio.run(go())
 
     def test_close_while_threaded_dispatcher_running(self):
         pts = _pts(400, seed=22)
-        svc = _service(KDTree(pts), max_wait=0.001)
-        svc.start()
-        tickets = [svc.submit("data", "knn", pts[i], k=2) for i in range(30)]
-        svc.close()
-        svc.close()
-        # every in-flight request completed or got a typed error
-        for t in tickets:
-            try:
-                d, ids = t.result(1.0)
-                assert len(d) == 2
-            except ServiceClosed:
-                pass
+
+        async def go():
+            fe = Frontend(max_batch=4)
+            fe.register_tenant("data", KDTree(pts))
+            tasks = [asyncio.ensure_future(fe.knn("data", pts[i], 2))
+                     for i in range(30)]
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)  # the dispatcher has run a quantum
+            await asyncio.gather(fe.close(), fe.close())
+            await fe.close()
+            # every in-flight request completed or got a typed error
+            for o in await asyncio.gather(*tasks, return_exceptions=True):
+                if isinstance(o, Exception):
+                    assert isinstance(o, ServiceClosed)
+                else:
+                    assert len(o.value[0]) == 2
+
+        asyncio.run(go())
 
     def test_flush_single_dataset_leaves_others_queued(self):
+        # a quantum drains one tenant's queue only
         pts_a, pts_b = _pts(100, seed=23), _pts(100, seed=24)
-        svc = _service(KDTree(pts_a), name="a")
-        svc.register("b", KDTree(pts_b))
-        ta = svc.submit("a", "knn", pts_a[0], k=2)
-        tb = svc.submit("b", "knn", pts_b[0], k=2)
-        assert svc.pending_for("a") == 1 and svc.pending_for("b") == 1
-        svc.flush("a")
-        assert ta.done() and not tb.done()
-        assert svc.pending_for("a") == 0 and svc.pending_for("b") == 1
-        svc.flush()
-        assert tb.done()
-        svc.close()
+        tree_a = KDTree(pts_a)
+        walk_a = tree_a.knn
+        seen = []
+
+        async def go():
+            fe = Frontend(max_batch=8)
+
+            def watching_walk(*a, **kw):
+                seen.append(fe.pending("b"))
+                return walk_a(*a, **kw)
+
+            tree_a.knn = watching_walk
+            fe.register_tenant("a", tree_a)
+            fe.register_tenant("b", KDTree(pts_b))
+            ra, rb = await asyncio.gather(fe.knn("a", pts_a[0], 2),
+                                          fe.knn("b", pts_b[0], 2))
+            assert seen == [1]  # b's request waited through a's quantum
+            assert not ra.approximate and not rb.approximate
+            await fe.close()
+
+        asyncio.run(go())
 
 
 # ----------------------------------------------------------------------

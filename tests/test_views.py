@@ -335,23 +335,17 @@ class TestServiceViews:
     def test_view_kind_answers_and_version_keyed_cache(self):
         pts = _pts(60, seed=2)
         idx, mgr, svc = self._svc(pts)
-        t1 = svc.submit("data", "view", "closest_pair")
-        svc.flush()
-        ans, ver = t1.result()
+        ans, ver = svc.view("data", "closest_pair")
         live, gids = idx.gather_points()
         assert (ans, ver) == (
             ClosestPairView.compute(live, gids), int(idx.version))
         # the second read at the same version is a cache hit ...
-        t2 = svc.submit("data", "view", "closest_pair")
-        svc.flush()
-        assert t2.result() == (ans, ver)
+        assert svc.view("data", "closest_pair") == (ans, ver)
         assert svc.snapshot()["hit_rate"] > 0
         # ... and a mutation changes the key, so the cache never serves
         # a stale answer for the new version
         mgr.insert(np.array([[0.01, 0.02]]))
-        t3 = svc.submit("data", "view", "closest_pair")
-        svc.flush()
-        ans3, ver3 = t3.result()
+        ans3, ver3 = svc.view("data", "closest_pair")
         assert ver3 == ver + 1
         live, gids = idx.gather_points()
         assert ans3 == ClosestPairView.compute(live, gids)
@@ -360,10 +354,10 @@ class TestServiceViews:
         svc = GeometryService(max_batch=8)
         svc.register("static", KDTree(_pts(20)))
         with pytest.raises(ValueError, match="view"):
-            svc.submit("static", "view", "closest_pair")
+            svc.view("static", "closest_pair")
         idx, mgr, svc2 = self._svc(_pts(20))
         with pytest.raises(ValueError):
-            svc2.submit("data", "view", "")
+            svc2.view("data", "")
 
     def test_replay_routes_mutations_through_manager(self):
         pts = _pts(50, seed=4)
