@@ -8,6 +8,11 @@ Dataset sizes default to Python-scale (10k–50k, vs the paper's 10M) and
 multiply by ``REPRO_BENCH_SCALE``.
 """
 
+import os
+import platform
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +40,28 @@ def data(name: str, seed: int = 0) -> np.ndarray:
 def run_once(benchmark, fn, *args, **kwargs):
     """Register a single-shot measurement with pytest-benchmark."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def _git(root: Path, *args: str) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def bench_meta() -> dict:
+    """The facts a BENCH record needs to be read on another machine:
+    commit (and whether tracked files differed from it), cores,
+    interpreter and numpy versions, and the scale."""
+    root = Path(__file__).resolve().parent.parent
+    status = _git(root, "status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git(root, "rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
+    }

@@ -23,10 +23,19 @@ Unconditional assertions (every scale):
 Wall-clock gate (full scale only, like the other perf gates):
 incremental maintenance is at least ``MIN_SPEEDUP`` (5x) faster than
 the recompute loop over the identical trace.
+
+A second gate times the write path's kd-tree erase descent alone
+(``test_erase_descent_ratio``, kind ``wall``): 1-row and 8-row erase
+batches on a serving shard's tree (1,248 points), the library's
+descent against the all-numpy reference descent kept in
+``tests/_erase_reference.py``.  Node arrays, deleted counts and
+charges must be identical at every scale; at full scale the library
+must be at least ``MIN_ERASE_RATIO`` (2x) faster for each batch size.
 """
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -34,10 +43,16 @@ import numpy as np
 
 from repro.bdl import BDLTree
 from repro.bench import bench_scale
+from repro.kdtree import KDTree
+from repro.kdtree.delete import erase as library_erase
+from repro.parlay import tracker
 from repro.serve import run_unbatched, synthetic_trace
 from repro.views import ClosestPairView, DBSCANView, HullView, ViewManager
 
-from conftest import run_once
+from conftest import bench_meta, run_once
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests._erase_reference import reference_erase  # noqa: E402
 
 FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 
@@ -50,7 +65,13 @@ EPS, MIN_PTS = 1.0, 6             # = one blob sigma; dense cores inside blobs
 MIN_SPEEDUP = 5.0
 MIN_MUTATION_FRAC = 0.3           # "update-heavy" per the gate definition
 
+ERASE_TREE_N = 1248               # a shard's tree in a 20K-point, 16-shard index
+ERASE_CALLS = bench_scale(600)    # timed erase calls per batch size and side
+ERASE_ROWS = (1, 8)
+MIN_ERASE_RATIO = 2.0
+
 _stream_records: dict = {}
+_erase_records: dict = {}
 
 
 def _points():
@@ -145,6 +166,7 @@ def test_stream_incremental_vs_recompute(benchmark):
 
     speedup = t_base / t_inc if t_inc > 0 else float("inf")
     _stream_records.update({
+        "kind": "wall",
         "n_ops": len(trace),
         "n_mutations": n_mut,
         "n_view_reads": n_view,
@@ -165,20 +187,90 @@ def test_stream_incremental_vs_recompute(benchmark):
     run_once(benchmark, lambda: None)
 
 
+def _timed_erase(fn, tree, batch):
+    tracker.reset()
+    t0 = time.perf_counter()
+    out = fn(tree, batch)
+    dt = time.perf_counter() - t0
+    cost = tracker.total()
+    tracker.reset()
+    return out, dt, cost
+
+
+def _erase_pair(m: int, rng) -> dict:
+    """Time ``ERASE_CALLS`` m-row erases on twin trees, library vs
+    reference, alternating sides call by call; checks every call."""
+    pts = rng.uniform(0.0, 100.0, (ERASE_TREE_N, 2))
+    t_lib = t_ref = 0.0
+    lib = ref = None
+    for call in range(ERASE_CALLS):
+        if lib is None or lib.size() < ERASE_TREE_N // 4:
+            lib, ref = KDTree(pts.copy()), KDTree(pts.copy())
+        present = pts[rng.choice(len(pts), size=m)]
+        absent = rng.uniform(0.0, 100.0, (m, 2))
+        batch = np.where(rng.random((m, 1)) < 0.75, present, absent)
+        sides = [(library_erase, lib), (reference_erase, ref)]
+        got = {fn: _timed_erase(fn, tree, batch)
+               for fn, tree in (sides if call % 2 == 0 else sides[::-1])}
+        (n_lib, dt_lib, c_lib), (n_ref, dt_ref, c_ref) = got[library_erase], got[reference_erase]
+        t_lib += dt_lib
+        t_ref += dt_ref
+        assert n_lib == n_ref, (m, call)
+        assert c_lib.work == c_ref.work, (m, call)
+        assert np.isclose(c_lib.depth, c_ref.depth, rtol=1e-12, atol=0.0), (m, call)
+        for arr in ("left", "right", "live", "alive"):
+            assert np.array_equal(getattr(lib, arr), getattr(ref, arr)), (m, call, arr)
+        assert (lib.root, lib.n_alive, lib.version) == (ref.root, ref.n_alive, ref.version)
+    return {
+        "kind": "wall",
+        "rows_per_erase": m,
+        "calls": ERASE_CALLS,
+        "library_us_per_erase": t_lib / ERASE_CALLS * 1e6,
+        "reference_us_per_erase": t_ref / ERASE_CALLS * 1e6,
+        "ratio": t_ref / t_lib if t_lib > 0 else float("inf"),
+    }
+
+
+def test_erase_descent_ratio(benchmark):
+    rng = np.random.default_rng(17)
+    for m in ERASE_ROWS:
+        rec = _erase_pair(m, rng)
+        _erase_records[f"rows_{m}"] = rec
+        print(f"\nerase {m}-row on {ERASE_TREE_N} points: library "
+              f"{rec['library_us_per_erase']:.1f} us, reference "
+              f"{rec['reference_us_per_erase']:.1f} us ({rec['ratio']:.2f}x)")
+    _erase_records["gate_applied"] = FULL_SCALE
+    if FULL_SCALE:
+        for m in ERASE_ROWS:
+            ratio = _erase_records[f"rows_{m}"]["ratio"]
+            assert ratio >= MIN_ERASE_RATIO, (
+                f"{m}-row erase descent only {ratio:.2f}x faster than the "
+                f"reference (gate {MIN_ERASE_RATIO}x)"
+            )
+    run_once(benchmark, lambda: None)
+
+
 def teardown_module(module):
-    if not _stream_records:
+    if not (_stream_records or _erase_records):
         return
     root = Path(__file__).resolve().parent.parent
     out = root / "BENCH_stream.json"
     payload = {
         "benchmark": "materialized views: incremental maintenance vs "
-                     "recompute on an update-heavy mixed trace",
+                     "recompute on an update-heavy mixed trace; kd-tree "
+                     "erase descent vs the reference descent",
+        "meta": bench_meta(),
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
         "gates": {
             "min_speedup": MIN_SPEEDUP,
             "min_mutation_frac": MIN_MUTATION_FRAC,
             "bitwise_equality": "unconditional",
             "repairs_dominate_fallbacks": "unconditional",
+            "erase_descent": {
+                "kind": "wall",
+                "min_ratio": MIN_ERASE_RATIO,
+                "identical_arrays_and_charges": "unconditional",
+            },
         },
         "config": {
             "points": STREAM_N,
@@ -190,6 +282,10 @@ def teardown_module(module):
             "min_pts": MIN_PTS,
         },
         "results": _stream_records,
+        "erase_descent": {
+            "tree_points": ERASE_TREE_N,
+            **_erase_records,
+        },
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {out}")

@@ -79,9 +79,9 @@ class BDLTree:
         # that changes the live point set (version-keyed result caches —
         # repro.serve — rely on it to never serve stale answers)
         self.version = 0
-        # key-range of the last effective mutation, so derived-structure
-        # maintainers can scope invalidation instead of rebuilding
-        self.last_touched: TouchedRegion | None = None
+        # the last effective mutation's TouchedRegion arguments; the
+        # region is built when ``last_touched`` is read
+        self._touched: tuple | TouchedRegion | None = None
 
     @classmethod
     def _from_parts(
@@ -116,12 +116,21 @@ class BDLTree:
         self.trees = trees
         self.next_gid = next_gid
         self.version = version
-        self.last_touched = None
+        self._touched = None
         return self
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
+    @property
+    def last_touched(self) -> TouchedRegion | None:
+        """Key-range of the last effective mutation (see
+        :class:`~repro.core.bbox.TouchedRegion`)."""
+        t = self._touched
+        if isinstance(t, tuple):
+            t = self._touched = _touched(*t)
+        return t
+
     def capacity(self, i: int) -> int:
         return self.X * (1 << i)
 
@@ -181,7 +190,8 @@ class BDLTree:
             return gids
         self._insert_with_ids(pts, gids)
         self.version += 1
-        self.last_touched = _touched("insert", pts, m, self.version)
+        # a copy: the caller may reuse its array before the region is read
+        self._touched = ("insert", pts.copy(), m, self.version)
         return gids
 
     def _insert_with_ids(self, pts: np.ndarray, gids: np.ndarray) -> None:
@@ -258,8 +268,12 @@ class BDLTree:
     # ------------------------------------------------------------------
     # batch deletion (paper Algorithm 4)
     # ------------------------------------------------------------------
-    def erase(self, points) -> int:
-        """Delete a batch of points by coordinates; returns #deleted."""
+    def erase(self, points, out: list | None = None) -> int:
+        """Delete a batch of points by coordinates; returns #deleted.
+
+        ``out``, when given, receives the global ids of the deleted
+        points (in no particular order).
+        """
         q = as_array(points)
         if q.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
@@ -271,15 +285,17 @@ class BDLTree:
         # 1. erase from the buffer
         if len(self.buf_pts):
             hit = _match_rows(self.buf_pts, q)
-            k = int(np.count_nonzero(hit))
-            if k:
+            if hit.any():
+                k = int(np.count_nonzero(hit))
+                if out is not None:
+                    out.extend(self.buf_gids[hit].tolist())
                 self.buf_pts = self.buf_pts[~hit]
                 self.buf_gids = self.buf_gids[~hit]
                 deleted += k
 
         # 2. erase from each nonempty static tree in parallel
         live_trees = [t for t in self.trees if t is not None and t.size() > 0]
-        counts = sched.map_tasks(lambda t: t.erase(q), live_trees)
+        counts = sched.map_tasks(lambda t: t.erase(q, out), live_trees)
         deleted += sum(counts)
 
         # 3. gather under-half-capacity trees and reinsert their points
@@ -298,7 +314,7 @@ class BDLTree:
             self._insert_with_ids(np.vstack(re_p), np.concatenate(re_g))
         if deleted:
             self.version += 1
-            self.last_touched = _touched("erase", q, deleted, self.version)
+            self._touched = ("erase", q.copy(), deleted, self.version)
         return deleted
 
     # ------------------------------------------------------------------
@@ -426,7 +442,7 @@ class BDLTree:
 
     def range_query_ball(self, center, radius: float) -> np.ndarray:
         """Global ids of live points within ``radius`` of ``center``."""
-        from ..kdtree.range_search import range_query_ball
+        from ..kdtree.range_search import ball_r2, range_query_ball
 
         c = np.asarray(center, dtype=np.float64)
         parts = []
@@ -439,7 +455,7 @@ class BDLTree:
             charge(len(self.buf_pts))
             diff = self.buf_pts - c
             d2 = np.einsum("ij,ij->i", diff, diff)
-            mask = d2 <= float(radius) ** 2
+            mask = d2 <= ball_r2(radius)
             if mask.any():
                 parts.append(self.buf_gids[mask])
         if not parts:
@@ -483,7 +499,7 @@ class BDLTree:
 
     def range_query_ball_batch(self, centers, radii) -> list[np.ndarray]:
         """Per-query global ids for a batch of ball queries."""
-        from ..kdtree.range_search import range_query_ball_batch
+        from ..kdtree.range_search import ball_r2s, range_query_ball_batch
 
         cs = np.asarray(centers, dtype=np.float64)
         m = len(cs)
@@ -498,7 +514,7 @@ class BDLTree:
             charge(m * len(self.buf_pts))
             diff = self.buf_pts[None, :, :] - cs[:, None, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            inside = d2 <= np.square(rr)[:, None]
+            inside = d2 <= ball_r2s(rr)[:, None]
             for i in np.flatnonzero(inside.any(axis=1)):
                 parts[i].append(self.buf_gids[inside[i]])
         return [

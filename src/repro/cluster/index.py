@@ -38,6 +38,7 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _touched
 from ..core.points import as_array
+from ..kdtree.range_search import ball_r2s
 from ..obs.registry import MetricsRegistry
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
@@ -120,8 +121,9 @@ class ShardedIndex:
         self.next_gid = n
         # monotonic mutation counter (versioned result caches key on it)
         self.version = 0
-        # key-range + shard ids of the last effective mutation
-        self.last_touched: TouchedRegion | None = None
+        # the last effective mutation's TouchedRegion arguments; the
+        # region is built when ``last_touched`` is read
+        self._touched: tuple | TouchedRegion | None = None
         # shared-memory snapshots of per-shard query state, packed
         # lazily (processes backend only) and re-packed on version bump
         self._snaps = SnapshotManager()
@@ -170,6 +172,7 @@ class ShardedIndex:
                     for s in range(S)
                 ]
             )
+        self._restack()
         self._maybe_rebalance()
 
     # ------------------------------------------------------------------
@@ -209,14 +212,50 @@ class ShardedIndex:
             "mean_touched_frac": (v / (q * len(self.shards))) if q else 0.0,
         }
 
+    @property
+    def last_touched(self) -> TouchedRegion | None:
+        """Key-range and shard ids of the last effective mutation."""
+        t = self._touched
+        if isinstance(t, tuple):
+            t = self._touched = _touched(*t)
+        return t
+
+    def _restack(self) -> None:
+        """(Re)build the shard table from the shards: (S, d) box arrays
+        ``_lo`` / ``_hi`` and live sizes ``_sizes``.
+
+        Each shard's ``lo`` / ``hi`` become views of its table rows, so
+        the mutation path updates the table once per batch and the
+        shards read the same boxes.  Runs at construction and after a
+        split; inserts and erases update the rows in place.
+        """
+        self._lo = np.stack([s.lo for s in self.shards])
+        self._hi = np.stack([s.hi for s in self.shards])
+        self._sizes = np.array([s.size() for s in self.shards], dtype=np.int64)
+        for i, sh in enumerate(self.shards):
+            sh.lo, sh.hi = self._lo[i], self._hi[i]
+
     def _boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.stack([s.lo for s in self.shards]),
-            np.stack([s.hi for s in self.shards]),
-        )
+        """The shard table's (S, d) box arrays (read-only to callers)."""
+        return self._lo, self._hi
 
     def _occupied(self) -> np.ndarray:
-        return np.array([s.size() > 0 for s in self.shards])
+        return self._sizes > 0
+
+    def _group(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, list]:
+        """Route a batch and group its rows by owning shard.
+
+        Returns ``(order, starts, targets, bounds)``: ``pts[order]``
+        holds the rows grouped by ascending owner, input order kept
+        within a group (one stable argsort), group ``j`` is rows
+        ``bounds[j]:bounds[j + 1]`` of it and belongs to shard
+        ``targets[j]`` — the rows and order ``pts[owner == s]`` selects.
+        """
+        owner = self.part.route(pts)
+        order = np.argsort(owner, kind="stable")
+        so = owner[order]
+        starts = np.flatnonzero(np.concatenate(([True], so[1:] != so[:-1])))
+        return order, starts, so[starts].tolist(), starts.tolist() + [len(pts)]
 
     def _observe(self, touched: np.ndarray) -> None:
         S = len(self.shards)
@@ -441,7 +480,7 @@ class ShardedIndex:
         rr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,))
         with span("cluster.ball", cat="cluster", batch=m, shards=len(self.shards)):
             lo, hi = self._boxes()
-            mask = plan_ball(lo, hi, cs, np.square(rr)) & self._occupied()[None, :]
+            mask = plan_ball(lo, hi, cs, ball_r2s(rr)) & self._occupied()[None, :]
 
             def run(s: int, qidx: np.ndarray):
                 return self.shards[s].tree.range_query_ball_batch(cs[qidx], rr[qidx])
@@ -498,31 +537,32 @@ class ShardedIndex:
         if me == 0:
             return gids
         with span("cluster.insert", cat="cluster", batch=me):
-            owner = self.part.route(pts)
-            targets = np.unique(owner)
+            order, starts, targets, bounds = self._group(pts)
+            sp, sg = pts[order], gids[order]
+            shards = self.shards
+            # the trees take the rows; the table below grows the boxes
             get_scheduler().parallel_do(
                 [
-                    (
-                        lambda s=s: self.shards[s].insert(
-                            pts[owner == s], gids[owner == s]
-                        )
-                    )
-                    for s in targets
+                    (lambda s=s, a=a, b=b: shards[s].tree.insert(sp[a:b], gids=sg[a:b]))
+                    for s, a, b in zip(targets, bounds, bounds[1:])
                 ]
             )
+            lo, hi = self._lo, self._hi
+            lo[targets] = np.minimum(lo[targets], np.minimum.reduceat(sp, starts))
+            hi[targets] = np.maximum(hi[targets], np.maximum.reduceat(sp, starts))
+            self._sizes[targets] += np.diff(bounds)
             self.version += 1
             self._maybe_rebalance()
-            self.last_touched = _touched(
-                "insert", pts, me, self.version, shards=targets.tolist()
-            )
+            self._touched = ("insert", sp, me, self.version, targets)
         return gids
 
-    def erase(self, points) -> int:
+    def erase(self, points, out: list | None = None) -> int:
         """Erase a batch by coordinates; returns #deleted.
 
         Equal coordinates share a Hilbert code and therefore a shard,
         so the per-shard erase deletes exactly the points a monolithic
-        erase would.
+        erase would.  ``out``, when given, receives the global ids of
+        the deleted points (in no particular order).
         """
         pts = as_array(points)
         if pts.shape[1] != self.dim:
@@ -531,20 +571,21 @@ class ShardedIndex:
         if len(pts) == 0:
             return 0
         with span("cluster.erase", cat="cluster", batch=len(pts)):
-            owner = self.part.route(pts)
-            targets = np.unique(owner)
+            order, _, targets, bounds = self._group(pts)
+            sp = pts[order]
+            shards = self.shards
             counts = get_scheduler().parallel_do(
                 [
-                    (lambda s=s: self.shards[s].erase(pts[owner == s]))
-                    for s in targets
+                    (lambda s=s, a=a, b=b: shards[s].erase(sp[a:b], out))
+                    for s, a, b in zip(targets, bounds, bounds[1:])
                 ]
             )
             deleted = int(sum(counts))
             if deleted:
+                # boxes stay conservative on erase; only sizes shrink
+                self._sizes[targets] -= counts
                 self.version += 1
-                self.last_touched = _touched(
-                    "erase", pts, deleted, self.version, shards=targets.tolist()
-                )
+                self._touched = ("erase", sp, deleted, self.version, targets)
         return deleted
 
     # ------------------------------------------------------------------
@@ -555,7 +596,7 @@ class ShardedIndex:
         changed = True
         while changed:
             changed = False
-            sizes = np.array([s.size() for s in self.shards], dtype=np.int64)
+            sizes = self._sizes
             total = int(sizes.sum())
             if total == 0:
                 return
@@ -563,6 +604,8 @@ class ShardedIndex:
                 self.skew_threshold * total / len(self.shards),
                 float(self.rebalance_min),
             )
+            if sizes.max() <= limit:
+                return
             for s in np.argsort(sizes)[::-1]:
                 if sizes[s] <= limit:
                     break
@@ -591,6 +634,7 @@ class ShardedIndex:
             build_engine=self.build_engine,
         )
         self.shards[s : s + 1] = [mk(left), mk(~left)]
+        self._restack()
         self._m_rebalances.inc()
         self.version += 1
         return True

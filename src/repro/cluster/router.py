@@ -62,7 +62,11 @@ def plan_box(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -
 
 
 def plan_ball(lo: np.ndarray, hi: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """(m, S) mask: does shard s's box intersect ball i (radius² r2)?"""
+    """(m, S) mask: does shard s's box intersect ball i (radius² r2)?
+
+    ``r2`` comes from :func:`~repro.kdtree.range_search.ball_r2s`: a
+    negative radius is ``-inf`` there and plans no shard at all.
+    """
     return bbox_mindist2(lo, hi, centers) <= r2[:, None]
 
 

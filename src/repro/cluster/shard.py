@@ -10,7 +10,10 @@ The shard tracks a conservative bounding box of its live points: grown
 on insert, left unchanged on erase (a superset box only costs pruning
 opportunities, never correctness).  An empty shard's box is the
 ``(+inf, -inf)`` sentinel, which fails every intersection test and has
-infinite mindist, so routers skip it for free.
+infinite mindist, so routers skip it for free.  Inside an index the
+box arrays are rows of the index's shard table (see
+:meth:`~repro.cluster.index.ShardedIndex._restack`), so every update
+here is in place.
 """
 
 from __future__ import annotations
@@ -56,14 +59,15 @@ class Shard:
         if len(points) == 0:
             return
         self.tree.insert(points, gids=gids)
-        self.lo = np.minimum(self.lo, points.min(axis=0))
-        self.hi = np.maximum(self.hi, points.max(axis=0))
+        np.minimum(self.lo, points.min(axis=0), out=self.lo)
+        np.maximum(self.hi, points.max(axis=0), out=self.hi)
 
-    def erase(self, points: np.ndarray) -> int:
-        """Erase a batch by coordinates; the bbox stays conservative."""
+    def erase(self, points: np.ndarray, out: list | None = None) -> int:
+        """Erase a batch by coordinates; the bbox stays conservative.
+        ``out`` receives the deleted points' global ids."""
         if len(points) == 0:
             return 0
-        return self.tree.erase(points)
+        return self.tree.erase(points, out)
 
     def gather(self) -> tuple[np.ndarray, np.ndarray]:
         """All live (coords, gids) of the shard."""
@@ -73,8 +77,8 @@ class Shard:
         """Shrink the bbox to the live points (used after a split)."""
         pts, _ = self.gather()
         if len(pts):
-            self.lo = pts.min(axis=0)
-            self.hi = pts.max(axis=0)
+            self.lo[:] = pts.min(axis=0)
+            self.hi[:] = pts.max(axis=0)
         else:
-            self.lo = np.full(self.dim, np.inf)
-            self.hi = np.full(self.dim, -np.inf)
+            self.lo[:] = np.inf
+            self.hi[:] = -np.inf

@@ -98,10 +98,12 @@ class TouchedRegion:
     (for erase, of the *requested* coordinates — a superset of what was
     actually deleted), the effective point count, the post-mutation
     ``version`` it belongs to, and — on a sharded index — the ids of
-    the shards the batch routed to.  Derived-structure maintainers
-    (:mod:`repro.views`) use it to repair only state intersecting the
-    region instead of invalidating everything behind an opaque version
-    bump.
+    the shards the batch routed to: what a derived structure would
+    need to repair only state intersecting the region instead of
+    treating a version bump as an opaque invalidate-all.  No view in
+    :mod:`repro.views` reads it today (they repair from the rows the
+    :class:`~repro.views.manager.ViewManager` hands them), so the
+    indexes build it only when ``last_touched`` is read.
     """
 
     kind: str                 #: "insert" | "erase"

@@ -58,7 +58,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.primitives import query_blocks
 from ..parlay.workdepth import charge, charge_blocked
-from .range_search import range_query_ball_batch, range_query_batch
+from .range_search import ball_r2s, range_query_ball_batch, range_query_batch
 from .tree import KDTree
 
 __all__ = [
@@ -608,7 +608,7 @@ def batched_range_query_ball_batch(
     """Array-at-a-time batch of spherical range queries."""
     cs = np.asarray(centers, dtype=np.float64)
     m = len(cs)
-    r2 = np.square(np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,)))
+    r2 = ball_r2s(np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,)))
     blocks = query_blocks(m, grain=grain)
     if not blocks:
         return []

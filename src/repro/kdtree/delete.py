@@ -11,12 +11,13 @@ traversal — exactly the structure-maintenance rule in the paper.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from ..core.points import as_array
 from ..parlay.scheduler import get_scheduler
-from ..parlay.workdepth import charge, fork_costs
+from ..parlay.workdepth import charge, fork_costs, tracker
 from .tree import KDTree
 
 __all__ = ["erase"]
@@ -28,19 +29,24 @@ _SEQ_CUTOFF = 2048
 #: comparison per row beats two numpy masks and two fancy indexes.
 _LIST_ROWS = 16
 
+#: Row pairs up to which :func:`_match_rows` compares Python lists.
+_LIST_PAIRS = 64
 
-def erase(tree: KDTree, point_coords) -> int:
+
+def erase(tree: KDTree, point_coords, out: list | None = None) -> int:
     """Delete points (by coordinates) from the tree; returns #deleted.
 
     Points not present are ignored.  Duplicates in the tree matching a
     single query row are all deleted (coordinate equality is exact).
+    ``out``, when given, receives the global ids (``tree.gids``) of the
+    deleted points.
     """
     q = as_array(point_coords)
     if q.shape[1] != tree.dim:
         raise ValueError("dimension mismatch")
     if tree.root < 0 or len(q) == 0:
         return 0
-    deleted = _CountBox()
+    deleted = _CountBox(tree.gids, out)
     new_root = _erase_rec(tree, tree.root, q, deleted, get_scheduler())
     tree.root = new_root if new_root is not None else -1
     tree.n_alive -= deleted.count
@@ -51,19 +57,25 @@ def erase(tree: KDTree, point_coords) -> int:
 
 
 class _CountBox:
-    """Deletion counter, lock-protected for the threads backend."""
+    """Deletion counter, lock-protected for the threads backend.
 
-    __slots__ = ("count", "_lock")
+    With an ``out`` list it also collects the global ids (``gids``) of
+    the deleted point ids passed to :meth:`add`.
+    """
 
-    def __init__(self):
-        import threading
+    __slots__ = ("count", "_lock", "_gids", "_out")
 
+    def __init__(self, gids: np.ndarray | None = None, out: list | None = None):
         self.count = 0
         self._lock = threading.Lock()
+        self._gids = gids
+        self._out = out
 
-    def add(self, k: int) -> None:
+    def add(self, k: int, ids=None) -> None:
         with self._lock:
             self.count += k
+            if self._out is not None:
+                self._out.extend(self._gids[ids].tolist())
 
 
 def _erase_rec(tree: KDTree, idx: int, q: np.ndarray | list, deleted: _CountBox, sched) -> int | None:
@@ -71,35 +83,40 @@ def _erase_rec(tree: KDTree, idx: int, q: np.ndarray | list, deleted: _CountBox,
 
     ``q`` is an (m, d) array, or a list of m coordinate lists once the
     sub-batch has at most :data:`_LIST_ROWS` rows; both split the same
-    rows the same way.
+    rows the same way.  Charges go into the caller's frame.
     """
     m = len(q)
-    charge(max(m, 1), math.log2(m) if m > 1 else 1.0)
-    if m <= _LIST_ROWS and not isinstance(q, list):
-        q = q.tolist()
+    if m <= _LIST_ROWS:
+        if not isinstance(q, list):
+            q = q.tolist()
+        # the node's own charges first, then its subtrees' composed
+        # cost, in the order the per-node frames would merge them
+        charge(m, math.log2(m) if m > 1 else 1.0)
+        node, w, d = _erase_list(tree, idx, q, deleted, 0.0, 0.0)
+        top = tracker.current
+        top.work += w
+        top.depth += d
+        return node
+    charge(m, math.log2(m))
     if tree.is_leaf[idx]:
         ids = tree.node_points(idx)
         if len(ids) == 0:
             return None if tree.live[idx] == 0 else idx
         pts = tree.points[ids]
         # exact coordinate match against the batch
-        charge(len(ids) * max(m, 1))
-        hit = _match_rows(pts, np.asarray(q, dtype=np.float64))
+        charge(len(ids) * m)
+        hit = _match_rows(pts, q)
         if np.any(hit):
             k = int(np.count_nonzero(hit))
             tree.alive[ids[hit]] = False
             tree.live[idx] -= k
-            deleted.add(k)
+            deleted.add(k, ids[hit])
         return None if tree.live[idx] == 0 else idx
 
     d = int(tree.split_dim[idx])
     sv = float(tree.split_val[idx])
-    if isinstance(q, list):
-        ql = [row for row in q if row[d] <= sv]
-        qr = [row for row in q if row[d] >= sv]
-    else:
-        ql = q[q[:, d] <= sv]
-        qr = q[q[:, d] >= sv]
+    ql = q[q[:, d] <= sv]
+    qr = q[q[:, d] >= sv]
     li, ri = int(tree.left[idx]), int(tree.right[idx])
 
     results: list[int | None] = [None, None]
@@ -114,8 +131,65 @@ def _erase_rec(tree: KDTree, idx: int, q: np.ndarray | list, deleted: _CountBox,
         sched.parallel_do([do_left, do_right])
     else:
         fork_costs([do_left, do_right])
+    return _contract(tree, idx, results[0], results[1])
 
-    new_l, new_r = results
+
+def _erase_list(tree: KDTree, idx: int, q: list, deleted: _CountBox,
+                w: float, dp: float) -> tuple:
+    """The descent below a node whose sub-batch ``q`` is a short list.
+
+    Returns ``(node, work, depth)``: the node replacing ``idx`` and the
+    cost of the node's subtree visits, composed without frames exactly
+    as :func:`~repro.parlay.workdepth.fork_costs` composes them — each
+    child's cost from a fresh 0.0 accumulator, the pair merged as
+    ``(wl + wr) + 2`` work and ``max(dl, dr) + 1.0`` depth.  ``w`` and
+    ``dp`` are the accumulator the rest of the node's cost adds to: 0.0
+    at the list descent's root, whose partition charge the caller put in
+    its own frame, and the partition charge ``(m, log m)`` for a child
+    (what a fresh frame holds after that charge).
+    """
+    if tree.is_leaf[idx]:
+        ids = tree.node_points(idx)
+        n = len(ids)
+        if n:
+            # exact coordinate match against the batch
+            nm = n * len(q)
+            w += nm
+            dp += math.log2(nm) if nm > 1 else 1.0
+            hit = [i for i, p in zip(ids.tolist(), tree.points[ids].tolist()) if p in q]
+            if hit:
+                tree.alive[hit] = False
+                tree.live[idx] -= len(hit)
+                deleted.add(len(hit), hit)
+        return (None if tree.live[idx] == 0 else idx), w, dp
+
+    d = int(tree.split_dim[idx])
+    sv = float(tree.split_val[idx])
+    li, ri = int(tree.left[idx]), int(tree.right[idx])
+    new_l = li if li >= 0 else None
+    new_r = ri if ri >= 0 else None
+    wl = dl = wr = dr = 0.0
+    if li >= 0:
+        ql = [row for row in q if row[d] <= sv]
+        if ql:
+            k = len(ql)
+            new_l, wl, dl = _erase_list(tree, li, ql, deleted, float(k),
+                                        math.log2(k) if k > 1 else 1.0)
+    if ri >= 0:
+        qr = [row for row in q if row[d] >= sv]
+        if qr:
+            k = len(qr)
+            new_r, wr, dr = _erase_list(tree, ri, qr, deleted, float(k),
+                                        math.log2(k) if k > 1 else 1.0)
+    w += (wl + wr) + 2
+    dp += (dl if dl >= dr else dr) + 1.0
+    return _contract(tree, idx, new_l, new_r), w, dp
+
+
+def _contract(tree: KDTree, idx: int, new_l, new_r) -> int | None:
+    """Rewire ``idx`` to its children's replacements; returns the node
+    replacing ``idx`` (None when both sides emptied, the surviving
+    child when one did)."""
     # a child that wasn't visited but is empty should also disappear
     if new_l is not None and tree.live[new_l] == 0:
         new_l = None
@@ -139,10 +213,15 @@ def _erase_rec(tree: KDTree, idx: int, q: np.ndarray | list, deleted: _CountBox,
 def _match_rows(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Boolean mask over ``pts`` rows that exactly equal some row of q.
 
-    Equality is ``==`` on every coordinate.  Large inputs prefilter on
-    the first coordinate and match whole rows among the candidates
-    only, so a small batch against a large set never copies the set.
+    Equality is ``==`` on every coordinate.  Tiny inputs compare Python
+    float lists (the same IEEE equality, without numpy's per-call
+    cost).  Large inputs prefilter on the first coordinate and match
+    whole rows among the candidates only, so a small batch against a
+    large set never copies the set.
     """
+    if len(q) * len(pts) <= _LIST_PAIRS:
+        ql = q.tolist()
+        return np.array([p in ql for p in pts.tolist()], dtype=bool)
     if len(q) * len(pts) <= 4096:
         return (pts[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)
     hit = np.isin(pts[:, 0], q[:, 0])

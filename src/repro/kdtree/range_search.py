@@ -7,12 +7,40 @@ the standard data-parallel range search ParGeo performs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..parlay.workdepth import charge
 from .tree import KDTree, NodeGeometry, box_dist2
 
-__all__ = ["range_query_box", "range_query_ball", "range_count_box"]
+__all__ = [
+    "ball_r2",
+    "ball_r2s",
+    "range_query_box",
+    "range_query_ball",
+    "range_count_box",
+]
+
+
+def ball_r2(radius: float) -> float:
+    """The squared radius every ball test compares ``d2 <= r2`` against.
+
+    A negative radius bounds the empty set, so it maps to ``-inf``: no
+    squared distance or box mindist is at or below it, and the search
+    prunes at the root.  Squaring it would answer the ball of radius
+    ``|radius|``.
+    """
+    r = float(radius)
+    return -math.inf if r < 0 else r ** 2
+
+
+def ball_r2s(radii) -> np.ndarray:
+    """:func:`ball_r2` over an array of radii."""
+    r = np.asarray(radii, dtype=np.float64)
+    r2 = np.square(r)
+    r2[r < 0] = -np.inf
+    return r2
 
 
 def _collect_box(
@@ -90,7 +118,7 @@ def _collect_ball(
 def range_query_ball(tree: KDTree, center, radius: float) -> np.ndarray:
     """Ids of live points within Euclidean distance ``radius`` of center."""
     c = np.asarray(center, dtype=np.float64)
-    r2 = float(radius) ** 2
+    r2 = ball_r2(radius)
 
     def tests(nlo, nhi):
         near2, far2 = box_dist2(nlo, nhi, c)

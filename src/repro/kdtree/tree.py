@@ -405,7 +405,7 @@ class KDTree:
 
         return _rb(self, center, radius)
 
-    def erase(self, point_coords) -> int:
+    def erase(self, point_coords, out: list | None = None) -> int:
         from .delete import erase as _erase
 
-        return _erase(self, point_coords)
+        return _erase(self, point_coords, out)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kdtree.delete import _match_rows
-
 __all__ = ["MaterializedView", "Mirror", "pairs_d2"]
 
 
@@ -45,13 +43,23 @@ class Mirror:
     Rows are append-only; erase marks ``alive`` False.  Views index
     into the shared arrays by row, so no view keeps its own coordinate
     copies.  ``row_of`` maps global id -> row (live rows only).
+
+    ``pts`` / ``gids`` / ``alive`` are views of the first ``n`` rows of
+    buffers with amortized (doubling) capacity: an append writes its
+    rows in place instead of copying the whole mirror.
     """
 
     def __init__(self, pts: np.ndarray, gids: np.ndarray):
-        self.pts = np.ascontiguousarray(pts, dtype=np.float64)
-        self.gids = np.asarray(gids, dtype=np.int64).copy()
-        self.alive = np.ones(len(self.gids), dtype=bool)
+        self._pts = np.ascontiguousarray(pts, dtype=np.float64)
+        self._gids = np.asarray(gids, dtype=np.int64).copy()
+        self._alive = np.ones(len(self._gids), dtype=bool)
+        self._view(len(self._gids))
         self.row_of = {int(g): i for i, g in enumerate(self.gids)}
+
+    def _view(self, n: int) -> None:
+        self.pts = self._pts[:n]
+        self.gids = self._gids[:n]
+        self.alive = self._alive[:n]
 
     @property
     def dim(self) -> int:
@@ -70,31 +78,39 @@ class Mirror:
 
     def append(self, pts: np.ndarray, gids: np.ndarray) -> np.ndarray:
         """Add a batch; returns the new row indices."""
+        gids = np.asarray(gids, dtype=np.int64)
         base = len(self.gids)
-        self.pts = np.vstack([self.pts, np.asarray(pts, dtype=np.float64)])
-        self.gids = np.concatenate(
-            [self.gids, np.asarray(gids, dtype=np.int64)]
-        )
-        self.alive = np.concatenate(
-            [self.alive, np.ones(len(gids), dtype=bool)]
-        )
-        rows = np.arange(base, len(self.gids), dtype=np.int64)
-        for r in rows:
-            self.row_of[int(self.gids[r])] = int(r)
-        return rows
+        n = base + len(gids)
+        if n > len(self._gids):
+            cap = max(n, 2 * len(self._gids), 16)
+            bp = np.empty((cap, self._pts.shape[1]), dtype=np.float64)
+            bp[:base] = self.pts
+            bg = np.empty(cap, dtype=np.int64)
+            bg[:base] = self.gids
+            ba = np.zeros(cap, dtype=bool)
+            ba[:base] = self.alive
+            self._pts, self._gids, self._alive = bp, bg, ba
+        self._pts[base:n] = pts
+        self._gids[base:n] = gids
+        self._alive[base:n] = True
+        self._view(n)
+        row_of = self.row_of
+        for r, g in enumerate(gids.tolist(), base):
+            row_of[g] = r
+        return np.arange(base, n, dtype=np.int64)
 
-    def kill_matching(self, q: np.ndarray) -> np.ndarray:
-        """Mark live rows whose coords match a row of ``q`` dead.
+    def kill_gids(self, gids) -> np.ndarray:
+        """Mark the live rows of these global ids dead.
 
-        Returns the killed rows.  Matching replicates the index's erase
-        semantics (:func:`repro.kdtree.delete._match_rows`): *every*
-        live row equal to *any* requested coordinate dies.
+        Returns the killed rows, ascending.  Ids with no live row are
+        skipped, so a caller that expected every id to be live compares
+        the count.
         """
-        hit = _match_rows(self.pts, np.asarray(q, dtype=np.float64))
-        killed = np.flatnonzero(hit & self.alive)
+        row_of = self.row_of
+        killed = np.array(
+            sorted(row_of.pop(g) for g in gids if g in row_of), dtype=np.int64
+        )
         self.alive[killed] = False
-        for r in killed:
-            self.row_of.pop(int(self.gids[r]), None)
         return killed
 
 

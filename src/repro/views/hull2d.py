@@ -52,20 +52,26 @@ def _chain(p: np.ndarray) -> list[int]:
 
     Strict turns (``<= 0`` pops) exclude collinear boundary points; the
     result is ccw and starts at index 0, the lex-min coordinate.  Fully
-    collinear inputs collapse to the two extreme coords.
+    collinear inputs collapse to the two extreme coords.  The turns run
+    on Python floats (``p.tolist()``): the same IEEE operations in the
+    same order as on numpy scalars, so the index lists are identical,
+    without numpy's per-scalar cost.
     """
     n = len(p)
     if n <= 2:
         return list(range(n))
     charge(n)
+    pts = p.tolist()
     lower: list[int] = []
     for i in range(n):
-        while len(lower) >= 2 and _cross(p[lower[-2]], p[lower[-1]], p[i]) <= 0:
+        b = pts[i]
+        while len(lower) >= 2 and _cross(pts[lower[-2]], pts[lower[-1]], b) <= 0:
             lower.pop()
         lower.append(i)
     upper: list[int] = []
     for i in range(n - 1, -1, -1):
-        while len(upper) >= 2 and _cross(p[upper[-2]], p[upper[-1]], p[i]) <= 0:
+        b = pts[i]
+        while len(upper) >= 2 and _cross(pts[upper[-2]], pts[upper[-1]], b) <= 0:
             upper.pop()
         upper.append(i)
     return lower[:-1] + upper[:-1]

@@ -97,6 +97,7 @@ class ViewManager:
     # ------------------------------------------------------------------
     def insert(self, points, gids=None) -> np.ndarray:
         pts = np.ascontiguousarray(points, dtype=np.float64)
+        self._sync()
         t0 = time.perf_counter()
         out = self.index.insert(pts, gids)
         t1 = time.perf_counter()
@@ -109,13 +110,18 @@ class ViewManager:
 
     def erase(self, points) -> int:
         pts = np.ascontiguousarray(points, dtype=np.float64)
+        self._sync()
         t0 = time.perf_counter()
-        deleted = int(self.index.erase(pts))
+        erased: list[int] = []
+        deleted = int(self.index.erase(pts, out=erased))
         t1 = time.perf_counter()
         if deleted == 0:
             self.last_stats = {"apply_s": t1 - t0, "repair_s": 0.0}
             return deleted
-        killed = self.mirror.kill_matching(pts)
+        # the mirror matched the index before the batch (_sync), so the
+        # rows of the deleted ids are exactly the rows at the erased
+        # coordinates: every live row equal to a requested row
+        killed = self.mirror.kill_gids(erased)
         if len(killed) != deleted:
             # the mirror no longer matches the index: heal via resync
             self.resync()
@@ -123,6 +129,12 @@ class ViewManager:
             return deleted
         self._repair_all("erase", killed, t0, t1)
         return deleted
+
+    def _sync(self) -> None:
+        """Resync before a write if the index moved behind the manager's
+        back, so the batch is applied to a mirror that matches it."""
+        if int(self.index.version) != self.version:
+            self.resync()
 
     def _repair_all(self, op: str, rows: np.ndarray, t0: float,
                     t1: float) -> None:

@@ -16,6 +16,7 @@ from repro.kdtree import (
     range_query_ball,
     range_query_box,
 )
+from repro.kdtree.delete import _match_rows
 from repro.parlay import tracker
 
 from ._erase_reference import reference_erase
@@ -299,6 +300,16 @@ class TestEraseMatchesReference:
             assert np.isclose(cost.depth, cref.depth, rtol=1e-12)
             self._assert_same_tree(t, ref)
         assert t.size() < len(pts)
+
+    def test_signed_zero_matches_and_nan_never_does(self):
+        # IEEE equality on both paths: -0.0 == 0.0, NaN != NaN
+        pts = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, -0.0]] * 12)
+        batch = np.array([[-0.0, 1.0], [np.nan, 2.0], [3.0, 0.0]])
+        assert _match_rows(pts[:3], batch).tolist() == [True, False, True]
+        assert _match_rows(pts, batch).tolist() == [True, False, True] * 12
+        t, ref = self._pair(pts)
+        assert t.erase(batch) == reference_erase(ref, batch) == 24
+        self._assert_same_tree(t, ref)
 
     def test_duplicate_rows_in_small_batch(self, rng):
         pts = rng.integers(0, 4, size=(800, 2)).astype(np.float64)

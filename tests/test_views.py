@@ -197,10 +197,11 @@ class TestIndependentOracles:
             want = {int(gids[v]) for v in ConvexHull(live).vertices}
             assert got == want
 
-    @pytest.mark.parametrize("n,m", [(50, 8), (5000, 8), (3000, 40)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 8), (50, 8), (5000, 8), (3000, 40)])
     def test_match_rows_against_brute_force(self, n, m):
-        # covers the broadcast path, the first-coordinate prefilter and
-        # the void-view fallback; duplicate-heavy on purpose
+        # covers the Python-list path, the broadcast path, the
+        # first-coordinate prefilter and the void-view fallback;
+        # duplicate-heavy on purpose
         rng = np.random.default_rng(n + m)
         pts = rng.integers(0, 4, (n, 3)).astype(np.float64)
         q = rng.integers(0, 4, (m, 3)).astype(np.float64)
@@ -210,11 +211,11 @@ class TestIndependentOracles:
     def test_mirror_kill_skips_dead_rows(self):
         pts = np.repeat(np.array([[1.0, 2.0], [1.0, 3.0]]), 3000, axis=0)
         mirror = Mirror(pts, np.arange(len(pts)))
-        first = mirror.kill_matching(np.array([[1.0, 2.0]]))
+        first = mirror.kill_gids(range(3000))
         assert len(first) == 3000 and mirror.n_live() == 3000
-        assert len(mirror.kill_matching(np.array([[1.0, 2.0]]))) == 0
-        second = mirror.kill_matching(np.array([[1.0, 3.0], [1.0, 2.0]]))
-        assert np.array_equal(second, np.arange(3000, 6000))
+        assert len(mirror.kill_gids(range(3000))) == 0
+        second = mirror.kill_gids(list(range(5999, 2999, -1)) + [0, 1])
+        assert np.array_equal(second, np.arange(3000, 6000))  # ascending
         assert mirror.n_live() == 0 and not mirror.row_of
 
 
@@ -232,6 +233,19 @@ class TestViewManager:
         assert ans == ClosestPairView.compute(live, gids)
         assert mgr.views["closest_pair"].recomputes == rec0 + 1
         assert mgr._c_resyncs.value == 1
+
+    @pytest.mark.parametrize("op", ["insert", "erase"])
+    def test_out_of_band_mutation_resyncs_before_a_write(self, op):
+        # a managed write after an unmanaged one must not mask the drift
+        idx, mgr = _managed(_pts(30))
+        idx.insert(np.array([[0.25, 9.75], [9.75, 0.25]]))  # behind its back
+        if op == "insert":
+            mgr.insert(np.array([[5.0, 5.0]]))
+        else:
+            assert mgr.erase(_pts(30)[:1]) == 1  # a point the mirror holds
+        assert mgr._c_resyncs.value == 1
+        for name, want in _expected(idx, mgr).items():
+            assert mgr.get(name) == (want, int(idx.version)), name
 
     def test_repair_counters_and_noop_erase(self):
         idx, mgr = _managed(_pts(30))
@@ -273,11 +287,15 @@ class TestViewManager:
             mgr.closest_pair()
 
     def test_mirror_matches_index_erase_semantics(self):
-        pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-        mirror = Mirror(pts, np.arange(3))
-        killed = mirror.kill_matching(np.array([[1.0, 1.0]]))
-        assert len(killed) == 2 and mirror.n_live() == 1
-        assert list(mirror.row_of) == [2]
+        # every live row equal to a requested coordinate dies, as in the
+        # index: the manager kills the rows of the ids the index deleted
+        idx = BDLTree(2, buffer_size=2)
+        idx.insert(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]))
+        mgr = ViewManager(idx)
+        assert mgr.erase(np.array([[1.0, 1.0], [5.0, 5.0]])) == 2
+        assert mgr.mirror.n_live() == 1
+        assert list(mgr.mirror.row_of) == [2]
+        assert mgr._c_resyncs.value == 0
 
 
 # ---------------------------------------------------------------------------
