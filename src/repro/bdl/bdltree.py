@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bbox import TouchedRegion, _touched
+from ..core.bbox import TouchedRegion, _LastTouched
 from ..core.points import as_array
 from ..kdtree.delete import _match_rows
 from ..kdtree.knnbuffer import KNNBuffer
@@ -122,14 +122,9 @@ class BDLTree:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def last_touched(self) -> TouchedRegion | None:
-        """Key-range of the last effective mutation (see
-        :class:`~repro.core.bbox.TouchedRegion`)."""
-        t = self._touched
-        if isinstance(t, tuple):
-            t = self._touched = _touched(*t)
-        return t
+    #: Key-range of the last effective mutation (see
+    #: :class:`~repro.core.bbox.TouchedRegion`).
+    last_touched = _LastTouched()
 
     def capacity(self, i: int) -> int:
         return self.X * (1 << i)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bbox import TouchedRegion, _touched
+from ..core.bbox import TouchedRegion, _LastTouched
 from ..core.points import as_array
 from ..kdtree.range_search import ball_r2s
 from ..obs.registry import MetricsRegistry
@@ -212,13 +212,8 @@ class ShardedIndex:
             "mean_touched_frac": (v / (q * len(self.shards))) if q else 0.0,
         }
 
-    @property
-    def last_touched(self) -> TouchedRegion | None:
-        """Key-range and shard ids of the last effective mutation."""
-        t = self._touched
-        if isinstance(t, tuple):
-            t = self._touched = _touched(*t)
-        return t
+    #: Key-range and shard ids of the last effective mutation.
+    last_touched = _LastTouched()
 
     def _restack(self) -> None:
         """(Re)build the shard table from the shards: (S, d) box arrays

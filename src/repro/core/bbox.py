@@ -135,6 +135,23 @@ def _touched(kind: str, pts: np.ndarray, count: int, version: int,
     )
 
 
+class _LastTouched:
+    """The ``last_touched`` attribute of the mutable indexes.
+
+    A mutation stores the arguments of :func:`_touched` in the index's
+    ``_touched`` slot; the :class:`TouchedRegion` is built from them on
+    the first read and kept.
+    """
+
+    def __get__(self, obj, objtype=None) -> TouchedRegion | None:
+        if obj is None:
+            return self
+        t = obj._touched
+        if isinstance(t, tuple):
+            t = obj._touched = _touched(*t)
+        return t
+
+
 def bbox_of(pts: np.ndarray) -> BBox:
     """Bounding box of an (n, d) array of points (n >= 1)."""
     pts = np.asarray(pts, dtype=np.float64)

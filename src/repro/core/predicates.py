@@ -60,6 +60,26 @@ def orient2d(a, b, c) -> int:
     return _exact_orient2d(a, b, c)
 
 
+def _det3(m) -> tuple[float, float]:
+    """Float determinant of the 3x3 rows ``m`` and its permanent.
+
+    The permanent sums the absolute values of all six products, so it
+    bounds the rounding of every product: the sum of the absolute
+    cofactor terms does not, since a 2x2 minor that cancels to 0 hides
+    the error its entries carry."""
+    p0 = m[1][1] * m[2][2]
+    p1 = m[1][2] * m[2][1]
+    p2 = m[1][0] * m[2][2]
+    p3 = m[1][2] * m[2][0]
+    p4 = m[1][0] * m[2][1]
+    p5 = m[1][1] * m[2][0]
+    det = m[0][0] * (p0 - p1) - m[0][1] * (p2 - p3) + m[0][2] * (p4 - p5)
+    perm = (abs(m[0][0]) * (abs(p0) + abs(p1))
+            + abs(m[0][1]) * (abs(p2) + abs(p3))
+            + abs(m[0][2]) * (abs(p4) + abs(p5)))
+    return det, perm
+
+
 def orient3d(a, b, c, d) -> int:
     """Sign of det([b-a; c-a; d-a]): +1 if d is on the positive side of
     plane (a,b,c) oriented by the right-hand rule, -1 if negative,
@@ -70,11 +90,7 @@ def orient3d(a, b, c, d) -> int:
         [float(c[0]) - ax, float(c[1]) - ay, float(c[2]) - az],
         [float(d[0]) - ax, float(d[1]) - ay, float(d[2]) - az],
     ]
-    t1 = m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    t2 = m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-    t3 = m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    det = t1 - t2 + t3
-    perm = abs(t1) + abs(t2) + abs(t3)
+    det, perm = _det3(m)
     # the floor keeps the bound from underflowing to 0 when the products
     # do (a subnormal det's sign is then rounding noise), as in
     # orient3d_batch
@@ -103,11 +119,7 @@ def incircle(a, b, c, d) -> int:
     for p in (a, b, c):
         px, py = float(p[0]) - dx, float(p[1]) - dy
         rows.append((px, py, px * px + py * py))
-    t1 = rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-    t2 = rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-    t3 = rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    det = t1 - t2 + t3
-    perm = abs(t1) + abs(t2) + abs(t3)
+    det, perm = _det3(rows)
     if abs(det) > EPSINC * perm:
         return 1 if det > 0 else -1
     # exact fallback on the raw coordinates
@@ -159,8 +171,14 @@ def orient3d_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray, pts: np.ndarray)
     normal = np.cross(ab, ac)
     ap = pts - a
     det = ap @ normal
-    # error proxy: scale of the triple product terms
-    mag = np.abs(ap) @ np.abs(normal)
+    # error proxy: the permanent, each normal component taken as the
+    # sum of its two products' magnitudes (a component that cancels to
+    # 0 still carries their rounding)
+    pa, pb = np.abs(ab), np.abs(ac)
+    nabs = np.array([pa[1] * pb[2] + pa[2] * pb[1],
+                     pa[2] * pb[0] + pa[0] * pb[2],
+                     pa[0] * pb[1] + pa[1] * pb[0]])
+    mag = np.abs(ap) @ nabs
     sign = np.sign(det).astype(np.int8)
     ambiguous = np.abs(det) <= EPS3D * np.maximum(mag, 1e-300)
     if np.any(ambiguous):
@@ -181,11 +199,7 @@ def incircle_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray, pts: np.ndarray)
         rel[k, :, 1] = py
         rel[k, :, 2] = px * px + py * py
     r0, r1, r2 = rel[0], rel[1], rel[2]
-    t1 = r0[:, 0] * (r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1])
-    t2 = r0[:, 1] * (r1[:, 0] * r2[:, 2] - r1[:, 2] * r2[:, 0])
-    t3 = r0[:, 2] * (r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0])
-    det = t1 - t2 + t3
-    perm = np.abs(t1) + np.abs(t2) + np.abs(t3)
+    det, perm = _det3((r0.T, r1.T, r2.T))
     out[:] = np.sign(det)
     ambiguous = np.abs(det) <= EPSINC * np.maximum(perm, 1e-300)
     for i in np.flatnonzero(ambiguous):

@@ -29,9 +29,6 @@ _SEQ_CUTOFF = 2048
 #: comparison per row beats two numpy masks and two fancy indexes.
 _LIST_ROWS = 16
 
-#: Row pairs up to which :func:`_match_rows` compares Python lists.
-_LIST_PAIRS = 64
-
 
 def erase(tree: KDTree, point_coords, out: list | None = None) -> int:
     """Delete points (by coordinates) from the tree; returns #deleted.
@@ -213,15 +210,10 @@ def _contract(tree: KDTree, idx: int, new_l, new_r) -> int | None:
 def _match_rows(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Boolean mask over ``pts`` rows that exactly equal some row of q.
 
-    Equality is ``==`` on every coordinate.  Tiny inputs compare Python
-    float lists (the same IEEE equality, without numpy's per-call
-    cost).  Large inputs prefilter on the first coordinate and match
-    whole rows among the candidates only, so a small batch against a
-    large set never copies the set.
+    Equality is ``==`` on every coordinate.  Large inputs prefilter on
+    the first coordinate and match whole rows among the candidates
+    only, so a small batch against a large set never copies the set.
     """
-    if len(q) * len(pts) <= _LIST_PAIRS:
-        ql = q.tolist()
-        return np.array([p in ql for p in pts.tolist()], dtype=bool)
     if len(q) * len(pts) <= 4096:
         return (pts[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)
     hit = np.isin(pts[:, 0], q[:, 0])

@@ -82,6 +82,20 @@ class TestOrient3D:
         assert orient3d(a, b, b, d) == 0
         assert orient3d_batch(a, b, b, d[None, :])[0] == 0
 
+    def test_cancelling_minor_goes_exact(self):
+        """The float differences round d - a to (-1, 1, 0), which makes a
+        2x2 minor cancel to exactly 0 and leaves a subnormal det of the
+        wrong sign; the bound must still cover the minor's products."""
+        a = np.array([1.0, 0.0, 0.0])
+        b = np.array([0.0, 1.0, -2.2250738585072e-311])
+        c = np.array([0.0, 0.0, 1.0])
+        d = np.array([-6.15877493e-100, 1.0, 0.0])
+        # exact det: 2.2e-311 - 6.2e-100 < 0
+        assert orient3d(a, b, c, d) == -1
+        assert orient3d(a, c, b, d) == 1
+        assert orient3d_batch(a, b, c, d[None, :])[0] == -1
+        assert orient3d_batch(a, c, b, d[None, :])[0] == 1
+
 
 class TestInCircle:
     def test_inside_outside(self):

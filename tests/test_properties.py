@@ -32,6 +32,8 @@ class TestPredicateProperties:
     @given(arrays(np.float64, (4, 3), elements=finite))
     @example(np.array([[0.0, 151331.0, 1.38256449e-37], [0.0, 0.0, 0.0],
                        [0.0, 0.0, 0.0], [1.18070547e-292, 0.0, 0.0]]))
+    @example(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -2.2250738585072e-311],
+                       [0.0, 0.0, 1.0], [-6.15877493e-100, 1.0, 0.0]]))
     @settings(max_examples=60, deadline=None)
     def test_orient3d_swap_antisymmetry(self, q):
         a, b, c, d = q

@@ -199,7 +199,7 @@ class TestIndependentOracles:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (7, 8), (50, 8), (5000, 8), (3000, 40)])
     def test_match_rows_against_brute_force(self, n, m):
-        # covers the Python-list path, the broadcast path, the
+        # covers the broadcast path (down to one row each), the
         # first-coordinate prefilter and the void-view fallback;
         # duplicate-heavy on purpose
         rng = np.random.default_rng(n + m)
