@@ -1,17 +1,19 @@
 """Construction regression gate: filter-first / array-at-a-time builds.
 
 Build gate: constructs the headline kd-tree workloads (100k uniform
-points in 2D and 7D) and a BDL-tree of the same size under both
-construction engines.  The batched (level-at-a-time) engine must
-produce **bitwise-identical** node arrays and **identical** work/depth
-charges — that contract is asserted unconditionally, at every scale —
-and at full scale (``REPRO_BENCH_SCALE >= 1``) must be at least 3x
-faster than the per-node recursion, which is the point of having it.
+points in 2D and 7D) and a BDL-tree of the same size with the runtime
+builder (level-at-a-time, ``repro.kdtree.build``) and with the
+reference per-node recursion kept in ``tests/_build_reference.py``.
+The runtime build must produce **bitwise-identical** node arrays and
+**identical** work/depth charges — that contract is asserted
+unconditionally, at every scale — and at full scale
+(``REPRO_BENCH_SCALE >= 1``) must be at least 3x faster than the
+reference, which is the point of having it.
 
 Hull gate: runs 2D quickhull on 200k uniform (interior-heavy) points
 with and without the Akl–Toussaint prefilter.  The filtered hull must
 be a **bitwise-identical index sequence** unconditionally; unlike the
-build engines the filter genuinely removes work (that is its job), so
+batched build the filter genuinely removes work (that is its job), so
 instead of charge equality the gate requires the charged work to go
 *down* and the wall-clock to improve by at least 2x at full scale.
 
@@ -43,6 +45,7 @@ from repro.spatialsort import hilbert_codes
 from conftest import data, run_once
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests._build_reference import assert_same_tree, recursive_builds  # noqa: E402
 from tests._hilbert_reference import reference_hilbert_codes  # noqa: E402
 
 BUILD_N = bench_scale(100_000)
@@ -55,11 +58,6 @@ MIN_HILBERT_RATIO = 2.0
 REPEATS = 3
 
 _records: dict[str, dict] = {}
-
-_TREE_FIELDS = (
-    "used", "is_leaf", "split_dim", "split_val", "left", "right",
-    "start", "end", "live", "perm", "box_lo", "box_hi", "gids",
-)
 
 
 def _timed(fn):
@@ -76,21 +74,15 @@ def _timed(fn):
     return out, best, cost
 
 
-def _assert_same_tree(tr, tb, label):
-    for f in _TREE_FIELDS:
-        assert np.array_equal(getattr(tr, f), getattr(tb, f)), (
-            f"{label}: engines disagree on node field {f!r}"
-        )
-
-
 def _build_gate(benchmark, ds_name: str):
     pts = data(f"{ds_name}-{BUILD_N}")
-    tr, t_rec, c_rec = _timed(lambda: KDTree(pts, engine="recursive"))
-    tb, t_bat, c_bat = _timed(lambda: KDTree(pts, engine="batched"))
+    with recursive_builds():
+        tr, t_rec, c_rec = _timed(lambda: KDTree(pts))
+    tb, t_bat, c_bat = _timed(lambda: KDTree(pts))
 
     # exactness and charge identity are unconditional: the batched
-    # engine is a wall-clock optimization only
-    _assert_same_tree(tr, tb, ds_name)
+    # build is a wall-clock optimization only
+    assert_same_tree(tr, tb, ds_name)
     assert c_rec.work == c_bat.work, (
         f"{ds_name}: work diverged {c_rec.work} != {c_bat.work}"
     )
@@ -123,22 +115,23 @@ def test_kdtree_build_7d_ratio(benchmark):
 
 
 def test_bdl_build_ratio(benchmark):
-    """The log-structure's unit-conversion rebuilds ride the engine."""
+    """The log-structure's unit-conversion rebuilds ride the batched build."""
     pts = data(f"2D-U-{BUILD_N}")
 
-    def build(engine):
-        b = BDLTree(pts.shape[1], build_engine=engine)
+    def build():
+        b = BDLTree(pts.shape[1])
         b.insert(pts)
         return b
 
-    br, t_rec, c_rec = _timed(lambda: build("recursive"))
-    bb, t_bat, c_bat = _timed(lambda: build("batched"))
+    with recursive_builds():
+        br, t_rec, c_rec = _timed(build)
+    bb, t_bat, c_bat = _timed(build)
 
     assert br.bitmask == bb.bitmask
     for ta, tbt in zip(br.trees, bb.trees):
         assert (ta is None) == (tbt is None)
         if ta is not None:
-            _assert_same_tree(ta, tbt, "bdl")
+            assert_same_tree(ta, tbt, "bdl")
     assert c_rec.work == c_bat.work
     assert np.isclose(c_rec.depth, c_bat.depth, rtol=1e-9)
 
@@ -236,7 +229,8 @@ def teardown_module(module):
     root = Path(__file__).resolve().parent.parent
     out = root / "BENCH_build.json"
     payload = {
-        "benchmark": "construction engines: batched vs recursive build, "
+        "benchmark": "construction: runtime batched build vs the reference "
+                     "recursion, "
                      "Akl-Toussaint filter-first hull, Hilbert coding vs "
                      "the per-bit reference",
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),

@@ -4,7 +4,8 @@ Engine gate: measures the batched (vectorized frontier) k-NN engine
 against the recursive per-query walk on the headline workload — 50k-point
 self-kNN with k=10 in 2D and 7D — and records the runs into
 ``BENCH_knn.json`` at the repo root (self-describing records via
-``EngineComparison.to_json``).  The two engines must return
+``EngineComparison.to_json``).  Each side runs with every tree call
+forced onto its engine (``tests/_engines.py``).  The two engines must return
 bitwise-identical neighbors and charge identical work/depth; at full
 scale (``REPRO_BENCH_SCALE >= 1``) the batched engine must also be at
 least 5x faster, which is the point of having it.
@@ -25,7 +26,7 @@ under ``small_batch`` with ``kind: wall``.
 
 Service gate: replays a 10k-request mixed kNN/range trace through
 ``repro.serve.GeometryService`` and requires (at full scale) coalesced
-throughput >= 5x the one-request-at-a-time recursive loop, plus a cache
+throughput >= 5x the one-request-at-a-time walk loop, plus a cache
 hit-rate >= 50% on a repeated trace.  Results land in
 ``BENCH_serve.json``.
 
@@ -56,17 +57,23 @@ cores — the JSON records whether the gate was applied and why.
 
 import json
 import os
+import sys
 import time
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench import bench_scale, measure_engines
+from repro.bench import Measurement, bench_scale, measure
 from repro.kdtree import KDTree, knn
 from repro.parlay import tracker
 from repro.serve import GeometryService, replay, run_unbatched, synthetic_trace
 
 from conftest import data, run_once
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests._engines import forced_engine  # noqa: E402
 
 N = bench_scale(50_000)
 K = 10
@@ -108,6 +115,72 @@ _cluster_records: dict[str, dict] = {}
 _procs_records: dict[str, dict] = {}
 
 
+@dataclass
+class EngineComparison:
+    """Wall-clock comparison of one query workload across engines."""
+
+    name: str
+    batched: Measurement
+    recursive: Measurement
+
+    @property
+    def ratio(self) -> float:
+        """How many times faster the batched engine ran (wall-clock)."""
+        if self.batched.t1 <= 0:
+            return float("inf")
+        return self.recursive.t1 / self.batched.t1
+
+    def charges_match(self, rtol: float = 1e-9) -> bool:
+        cb, cr = self.batched.cost, self.recursive.cost
+        return (
+            abs(cb.work - cr.work) <= rtol * max(cr.work, 1.0)
+            and abs(cb.depth - cr.depth) <= rtol * max(cr.depth, 1.0)
+        )
+
+    def summary(self) -> str:
+        return (
+            f"{self.name}: batched {self.batched.t1:.4g}s vs recursive "
+            f"{self.recursive.t1:.4g}s ({self.ratio:.2f}x), "
+            f"charges {'match' if self.charges_match() else 'DIFFER'}"
+        )
+
+    def to_json(self) -> dict:
+        """Self-describing record: both engines' runs + shared metadata.
+
+        Metadata common to both runs (n, dims, k, repeat, backend, ...)
+        is lifted into a top-level ``meta`` so a ``BENCH_*.json`` entry
+        explains itself without reference to the generating script.
+        """
+        b, r = self.batched.to_json(), self.recursive.to_json()
+        shared = {k: v for k, v in b["meta"].items()
+                  if k in r["meta"] and r["meta"][k] == v and k != "engine"}
+        for rec in (b, r):
+            rec["meta"] = {k: v for k, v in rec["meta"].items() if k not in shared}
+        return {
+            "name": self.name,
+            "meta": shared,
+            "ratio": self.ratio,
+            "charges_match": self.charges_match(),
+            "batched": b,
+            "recursive": r,
+        }
+
+
+def measure_engines(name: str, fn, *args, meta: dict | None = None,
+                    **kwargs) -> EngineComparison:
+    """Run ``fn`` once with every tree call forced onto each query
+    engine; the two runs' work/depth charges should agree
+    (``charges_match``) since the engines are cost-equivalent."""
+    runs = {}
+    for engine in ("batched", "recursive"):
+        with forced_engine(engine):
+            runs[engine] = measure(
+                f"{name}[{engine}]", fn, *args,
+                meta={**(meta or {}), "engine": engine}, **kwargs,
+            )
+    return EngineComparison(name, runs["batched"], runs["recursive"])
+
+
 def _bench(benchmark, ds_name: str):
     pts = data(f"{ds_name}-{N}")
     tree = KDTree(pts)
@@ -141,9 +214,15 @@ def test_knn_7d_engine_ratio(benchmark):
     _bench(benchmark, "7D-U")
 
 
+def _on(engine):
+    """The default path (``None``: the size rule) or a forced engine."""
+    return nullcontext() if engine is None else forced_engine(engine)
+
+
 def _costed_knn(tree, qs, engine):
     tracker.reset()
-    d, i = knn(tree, qs, SMALL_K, engine=engine)
+    with _on(engine):
+        d, i = knn(tree, qs, SMALL_K)
     cost = tracker.total()
     tracker.reset()
     return d, i, cost
@@ -157,10 +236,11 @@ def _timed_knn(tree, batches) -> dict:
     times = {None: [], "batched": []}
     for p in range(9):
         for engine in (None, "batched") if p % 2 == 0 else ("batched", None):
-            t0 = time.perf_counter()
-            for qs in batches:
-                knn(tree, qs, SMALL_K, engine=engine)
-            times[engine].append((time.perf_counter() - t0) / len(batches))
+            with _on(engine):
+                t0 = time.perf_counter()
+                for qs in batches:
+                    knn(tree, qs, SMALL_K)
+                times[engine].append((time.perf_counter() - t0) / len(batches))
     return times
 
 
@@ -221,7 +301,7 @@ def _assert_results_equal(served, baseline):
 
 
 def test_serve_coalesced_throughput(benchmark):
-    """Coalesced service >= 5x the one-at-a-time recursive loop."""
+    """Coalesced service >= 5x the one-at-a-time walk loop."""
     pts = data(f"2D-U-{SERVE_N}")
     trace = synthetic_trace(pts, SERVE_REQUESTS, kinds=("knn", "ball", "box"),
                             k=K, repeat_frac=0.0, seed=7)
@@ -303,7 +383,7 @@ def test_obs_tracing_overhead(benchmark, tmp_path):
     repeats = 3
 
     def run():
-        return knn(tree, pts, K, exclude_self=True, engine="batched")
+        return knn(tree, pts, K, exclude_self=True)
 
     # untraced wall-clock (the tracer hook is a global load + None check)
     t_off = float("inf")

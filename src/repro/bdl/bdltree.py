@@ -46,10 +46,6 @@ class BDLTree:
         Split rule for the underlying static trees ('object'/'spatial').
     leaf_size:
         Leaf capacity of the static trees.
-    build_engine:
-        Construction engine for the static trees ('batched'/'recursive',
-        see :mod:`repro.kdtree.build`); None uses the process default.
-        Every rebuild a mutation triggers goes through it.
     """
 
     def __init__(
@@ -58,7 +54,6 @@ class BDLTree:
         buffer_size: int = 1024,
         split: str = OBJECT_MEDIAN,
         leaf_size: int = 16,
-        build_engine: str | None = None,
     ):
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
@@ -66,7 +61,6 @@ class BDLTree:
         self.X = buffer_size
         self.split = split
         self.leaf_size = leaf_size
-        self.build_engine = build_engine
 
         # buffer tree contents (kept as arrays; X is small)
         self.buf_pts = np.empty((0, dim), dtype=np.float64)
@@ -96,7 +90,6 @@ class BDLTree:
         buf_pts: np.ndarray,
         buf_gids: np.ndarray,
         trees: list[KDTree | None],
-        build_engine: str | None = None,
     ) -> "BDLTree":
         """Reassemble a BDL-tree around existing state (no copies, no build).
 
@@ -110,7 +103,6 @@ class BDLTree:
         self.X = buffer_size
         self.split = split
         self.leaf_size = leaf_size
-        self.build_engine = build_engine
         self.buf_pts = buf_pts
         self.buf_gids = buf_gids
         self.trees = trees
@@ -252,7 +244,6 @@ class BDLTree:
                     split=self.split,
                     leaf_size=self.leaf_size,
                     gids=src_g[lo:hi],
-                    engine=self.build_engine,
                 )
 
         if len(plans) > 1:
@@ -320,16 +311,14 @@ class BDLTree:
         queries,
         k: int,
         exclude_self: bool = False,
-        engine: str | None = None,
         bound: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of each query across all trees.
 
         Returns (squared distances, global ids), each (m, k) sorted by
-        distance per row.  ``engine`` selects the per-tree search
-        strategy (vectorized "batched" frontier vs per-query
-        "recursive" walk); ``None`` picks by batch size
-        (:func:`~repro.kdtree.batch.resolve_engine`).  Results and
+        distance per row.  The batch size picks the per-tree search
+        (vectorized frontier or per-query walk,
+        :func:`~repro.kdtree.batch.resolve_engine`).  Results and
         charges are identical.
 
         ``bound`` is an optional per-query *exclusive* squared-distance
@@ -343,7 +332,7 @@ class BDLTree:
 
         qs = as_array(queries)
         m = len(qs)
-        if resolve_engine(engine, m, "knn") == "batched":
+        if resolve_engine(m, "knn") == "batched":
             return self._knn_batched(qs, k, exclude_self, bound)
         kk = k + 1 if exclude_self else k
         buffers = [KNNBuffer(kk) for _ in range(m)]

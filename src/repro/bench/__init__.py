@@ -1,21 +1,17 @@
 """``repro.bench`` — timing + simulated-speedup benchmark harness."""
 
 from .harness import (
-    EngineComparison,
     Measurement,
     PAPER_CORES,
     Table,
     bench_scale,
     measure,
-    measure_engines,
 )
 
 __all__ = [
-    "EngineComparison",
     "Measurement",
     "PAPER_CORES",
     "Table",
     "bench_scale",
     "measure",
-    "measure_engines",
 ]

@@ -24,10 +24,8 @@ from ..parlay.workdepth import (
 )
 
 __all__ = [
-    "EngineComparison",
     "Measurement",
     "measure",
-    "measure_engines",
     "Table",
     "bench_scale",
     "PAPER_CORES",
@@ -46,7 +44,7 @@ def bench_scale(n: int) -> int:
 class Measurement:
     """One benchmark run: wall time + modeled parallel behavior.
 
-    ``meta`` carries run metadata (n, dims, k, engine, repeat, backend,
+    ``meta`` carries run metadata (n, dims, k, repeat, backend,
     ...) so serialized records are self-describing; :func:`measure`
     always stamps ``repeat`` and the scheduler ``backend``.
     """
@@ -117,78 +115,6 @@ def measure(name: str, fn, *args, repeat: int = 1, meta: dict | None = None,
     if meta:
         full_meta.update(meta)
     return Measurement(name, best_t, cost, result, full_meta, spans)
-
-
-@dataclass
-class EngineComparison:
-    """Wall-clock comparison of one query workload across engines."""
-
-    name: str
-    batched: Measurement
-    recursive: Measurement
-
-    @property
-    def ratio(self) -> float:
-        """How many times faster the batched engine ran (wall-clock)."""
-        if self.batched.t1 <= 0:
-            return float("inf")
-        return self.recursive.t1 / self.batched.t1
-
-    def charges_match(self, rtol: float = 1e-9) -> bool:
-        cb, cr = self.batched.cost, self.recursive.cost
-        return (
-            abs(cb.work - cr.work) <= rtol * max(cr.work, 1.0)
-            and abs(cb.depth - cr.depth) <= rtol * max(cr.depth, 1.0)
-        )
-
-    def summary(self) -> str:
-        return (
-            f"{self.name}: batched {self.batched.t1:.4g}s vs recursive "
-            f"{self.recursive.t1:.4g}s ({self.ratio:.2f}x), "
-            f"charges {'match' if self.charges_match() else 'DIFFER'}"
-        )
-
-    def to_json(self) -> dict:
-        """Self-describing record: both engines' runs + shared metadata.
-
-        Metadata common to both runs (n, dims, k, repeat, backend, ...)
-        is lifted into a top-level ``meta`` so a ``BENCH_*.json`` entry
-        explains itself without reference to the generating script.
-        """
-        b, r = self.batched.to_json(), self.recursive.to_json()
-        shared = {k: v for k, v in b["meta"].items()
-                  if k in r["meta"] and r["meta"][k] == v and k != "engine"}
-        for rec in (b, r):
-            rec["meta"] = {k: v for k, v in rec["meta"].items() if k not in shared}
-        return {
-            "name": self.name,
-            "meta": shared,
-            "ratio": self.ratio,
-            "charges_match": self.charges_match(),
-            "batched": b,
-            "recursive": r,
-        }
-
-
-def measure_engines(name: str, fn, *args, repeat: int = 1,
-                    meta: dict | None = None, **kwargs) -> EngineComparison:
-    """Run ``fn(engine=...)`` under both query engines and compare.
-
-    ``fn`` must accept an ``engine`` keyword (e.g. ``knn``,
-    ``range_query_batch``, ``BDLTree.knn``).  Returns the two
-    measurements plus the wall-clock ratio; the work/depth charges of
-    the two runs should agree (``charges_match``) since the engines are
-    cost-equivalent by construction.
-    """
-    batched = measure(
-        f"{name}[batched]", fn, *args, repeat=repeat,
-        meta={**(meta or {}), "engine": "batched"}, engine="batched", **kwargs,
-    )
-    recursive = measure(
-        f"{name}[recursive]", fn, *args, repeat=repeat,
-        meta={**(meta or {}), "engine": "recursive"}, engine="recursive", **kwargs,
-    )
-    return EngineComparison(name, batched, recursive)
 
 
 class Table:

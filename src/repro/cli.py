@@ -11,7 +11,6 @@ Examples::
     python -m repro knn pts.npy -k 8 -o neighbors.csv
     python -m repro emst pts.npy -o mst.csv
     python -m repro graph pts.npy --kind gabriel -o edges.csv
-    python -m repro build-bench pts.npy --json-out build.json
     python -m repro serve-replay pts.npy --synthetic 2000 --compare
     python -m repro stream-bench pts.npy --mutation-frac 0.35 --views closest_pair,hull2d
     python -m repro profile --trace-out knn.trace.json knn pts.npy -k 8
@@ -36,32 +35,6 @@ def _use_backend(args):
     from .parlay.scheduler import use_backend
 
     return use_backend(backend)
-
-
-def _use_build_engine(args):
-    """Context manager honoring a subcommand's ``--build-engine`` flag.
-
-    Installs the requested engine as the process default for the
-    duration, so every tree the command constructs — monolithic,
-    sharded, or BDL rebuilds — goes through it.
-    """
-    from contextlib import contextmanager, nullcontext
-
-    engine = getattr(args, "build_engine", None)
-    if not engine:
-        return nullcontext()
-    from .kdtree import default_build_engine, set_default_build_engine
-
-    @contextmanager
-    def ctx():
-        prev = default_build_engine()
-        set_default_build_engine(engine)
-        try:
-            yield
-        finally:
-            set_default_build_engine(prev)
-
-    return ctx()
 
 
 def _load(path: str):
@@ -116,30 +89,25 @@ def cmd_knn(args) -> int:
     from .kdtree import KDTree
 
     pts = _load(args.input)
-    with _use_backend(args), _use_build_engine(args):
+    with _use_backend(args):
         t0 = time.perf_counter()
         if args.shards > 0:
             from .cluster import ShardedIndex
 
             index = ShardedIndex(pts.coords, args.shards)
-            d, i = index.knn(
-                pts.coords, args.k, exclude_self=True, engine=args.engine
-            )
+            d, i = index.knn(pts.coords, args.k, exclude_self=True)
             dt = time.perf_counter() - t0
             stats = index.pruning_stats()
             print(
                 f"k-NN (k={args.k}) over {len(pts)} points in {dt:.3f}s "
-                f"({args.engine} engine, {index.n_shards} shards, "
+                f"({index.n_shards} shards, "
                 f"{stats['mean_touched_frac']:.1%} shards touched/query)"
             )
         else:
             tree = KDTree(pts, split=args.split)
-            d, i = tree.knn(
-                pts.coords, args.k, exclude_self=True, engine=args.engine
-            )
+            d, i = tree.knn(pts.coords, args.k, exclude_self=True)
             dt = time.perf_counter() - t0
-            print(f"k-NN (k={args.k}) over {len(pts)} points in {dt:.3f}s "
-                  f"({args.engine} engine)")
+            print(f"k-NN (k={args.k}) over {len(pts)} points in {dt:.3f}s")
     if args.output:
         np.savetxt(args.output, i, fmt="%d", delimiter=",")
     return 0
@@ -277,7 +245,7 @@ def cmd_serve_replay(args) -> int:
             _attach_views(index, view_names, args)
         return index
 
-    with _use_backend(args), _use_build_engine(args):
+    with _use_backend(args):
         service = GeometryService(
             max_batch=args.max_batch, cache_capacity=args.cache,
         )
@@ -311,7 +279,7 @@ def cmd_serve_replay(args) -> int:
             dt = time.perf_counter() - t0
             ratio = dt / report.seconds if report.seconds > 0 else float("inf")
             print(
-                f"unbatched loop (recursive engine): {dt:.3f}s "
+                f"unbatched loop (one request per call): {dt:.3f}s "
                 f"({len(trace) / dt:,.0f} req/s) -> service is {ratio:.2f}x faster"
             )
     return 0
@@ -480,18 +448,17 @@ def cmd_cluster_bench(args) -> int:
     pts = _load(args.input)
     if args.procs:
         ladder = tuple(int(p) for p in args.procs.split(","))
-        with _use_build_engine(args):
-            rec = compare_procs(
-                pts.coords,
-                n_shards=args.shards,
-                k=args.k,
-                n_queries=args.queries,
-                procs=ladder,
-                seed=args.seed,
-            )
+        rec = compare_procs(
+            pts.coords,
+            n_shards=args.shards,
+            k=args.k,
+            n_queries=args.queries,
+            procs=ladder,
+            seed=args.seed,
+        )
         print(summary_procs(rec))
     else:
-        with _use_backend(args), _use_build_engine(args):
+        with _use_backend(args):
             rec = compare_cluster(
                 pts.coords,
                 n_shards=args.shards,
@@ -675,84 +642,6 @@ def cmd_dash(args) -> int:
     return 0
 
 
-def cmd_build_bench(args) -> int:
-    """Filter-first construction micro-benchmark: batched vs recursive
-    kd/BDL builds and the Akl–Toussaint-filtered vs plain quickhull, on
-    one dataset, with the equality contracts re-checked on the spot."""
-    from .bdl import BDLTree
-    from .kdtree import KDTree
-
-    pts = _load(args.input)
-    coords = pts.coords
-
-    def best_of(fn):
-        out, t = None, float("inf")
-        for _ in range(max(args.reps, 1)):
-            t0 = time.perf_counter()
-            out = fn()
-            t = min(t, time.perf_counter() - t0)
-        return out, t
-
-    rec = {"n_points": int(len(coords)), "dim": int(coords.shape[1])}
-
-    tr, t_rec = best_of(lambda: KDTree(coords, engine="recursive"))
-    tb, t_bat = best_of(lambda: KDTree(coords, engine="batched"))
-    same = all(
-        np.array_equal(getattr(tr, f), getattr(tb, f))
-        for f in ("perm", "split_val", "left", "right", "box_lo", "box_hi")
-    )
-    ratio = t_rec / t_bat if t_bat > 0 else float("inf")
-    rec["kdtree"] = {"recursive_s": t_rec, "batched_s": t_bat,
-                     "speedup": ratio, "identical": same}
-    print(f"kd-tree build ({len(coords)} points): recursive {t_rec:.3f}s, "
-          f"batched {t_bat:.3f}s -> {ratio:.2f}x"
-          + ("" if same else "  [MISMATCH]"))
-
-    def bdl_build(engine):
-        b = BDLTree(coords.shape[1], build_engine=engine)
-        b.insert(coords)
-        return b
-
-    br, t_brec = best_of(lambda: bdl_build("recursive"))
-    bb, t_bbat = best_of(lambda: bdl_build("batched"))
-    bdl_same = br.bitmask == bb.bitmask and all(
-        ta is None or np.array_equal(ta.perm, tbt.perm)
-        for ta, tbt in zip(br.trees, bb.trees)
-    )
-    bdl_ratio = t_brec / t_bbat if t_bbat > 0 else float("inf")
-    rec["bdl"] = {"recursive_s": t_brec, "batched_s": t_bbat,
-                  "speedup": bdl_ratio, "identical": bdl_same}
-    print(f"BDL build: recursive {t_brec:.3f}s, batched {t_bbat:.3f}s "
-          f"-> {bdl_ratio:.2f}x" + ("" if bdl_same else "  [MISMATCH]"))
-
-    if coords.shape[1] == 2:
-        from .hull import quickhull2d_seq
-
-        hu, t_unf = best_of(lambda: quickhull2d_seq(coords, prefilter=False))
-        hf, t_fil = best_of(lambda: quickhull2d_seq(coords, prefilter=True))
-        h_same = np.array_equal(hu, hf)
-        h_ratio = t_unf / t_fil if t_fil > 0 else float("inf")
-        rec["hull2d"] = {"unfiltered_s": t_unf, "filtered_s": t_fil,
-                         "speedup": h_ratio, "identical": h_same}
-        print(f"quickhull2d: unfiltered {t_unf:.3f}s, AT-filtered "
-              f"{t_fil:.3f}s -> {h_ratio:.2f}x"
-              + ("" if h_same else "  [MISMATCH]"))
-
-    if args.json_out:
-        import json
-
-        with open(args.json_out, "w") as f:
-            json.dump(rec, f, indent=2)
-            f.write("\n")
-        print(f"wrote {args.json_out}")
-    ok = all(v["identical"] for v in rec.values() if isinstance(v, dict))
-    if not ok:
-        print("error: engines disagreed (see [MISMATCH] above)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_profile(args) -> int:
     from .obs import summary, trace, write_chrome_trace
     from .obs.span import DEFAULT_MAX_SPANS
@@ -780,14 +669,6 @@ def cmd_profile(args) -> int:
     print(f"\nactive backend: {sched.backend} ({sched.workers} workers)"
           + (f" [inner run used --backend {inner.backend}]"
              if getattr(inner, "backend", None) else ""))
-    from .hull import default_hull_prefilter
-    from .kdtree import default_build_engine
-
-    print(f"build engine: {default_build_engine()}"
-          + (f" [inner run used --build-engine {inner.build_engine}]"
-             if getattr(inner, "build_engine", None) else "")
-          + f", hull prefilter: "
-          f"{'on' if default_hull_prefilter() else 'off'}")
     spans = rec.spans()
     obj = write_chrome_trace(args.trace_out, spans,
                              workers=args.workers, name=f"repro {cmd[0]}")
@@ -839,16 +720,6 @@ def _add_backend_arg(sp) -> None:
     )
 
 
-def _add_build_engine_arg(sp) -> None:
-    from .kdtree import BUILD_ENGINES
-
-    sp.add_argument(
-        "--build-engine", choices=list(BUILD_ENGINES), default=None,
-        help="kd-tree construction engine for every tree the command "
-             "builds (default: REPRO_BUILD_ENGINE or batched)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -878,14 +749,11 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("input")
     k.add_argument("-k", type=int, default=5)
     k.add_argument("--split", default="object", choices=["object", "spatial"])
-    k.add_argument("--engine", default="batched", choices=["batched", "recursive"],
-                   help="query execution engine (vectorized batch vs per-query walk)")
     k.add_argument("--shards", type=int, default=0, metavar="N",
                    help="serve from a Hilbert-sharded index with N shards "
                         "(0 = monolithic kd-tree)")
     k.add_argument("-o", "--output")
     _add_backend_arg(k)
-    _add_build_engine_arg(k)
     k.set_defaults(fn=cmd_knn)
 
     e = sub.add_parser("emst", help="Euclidean minimum spanning tree")
@@ -955,7 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--metrics-out", metavar="PATH",
                     help="write the post-run service metrics snapshot as JSON")
     _add_backend_arg(sr)
-    _add_build_engine_arg(sr)
     sr.set_defaults(fn=cmd_serve_replay)
 
     sb = sub.add_parser(
@@ -1016,22 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--json-out", metavar="PATH",
                     help="also write the comparison record as JSON")
     _add_backend_arg(cb)
-    _add_build_engine_arg(cb)
     cb.set_defaults(fn=cmd_cluster_bench)
-
-    bb = sub.add_parser(
-        "build-bench",
-        help="batched vs recursive construction and filter-first hull timings",
-        description="Time kd-tree and BDL-tree construction under both "
-        "engines and 2D quickhull with and without the Akl-Toussaint "
-        "prefilter, re-checking that each pair produces identical output.",
-    )
-    bb.add_argument("input", help="point file to build over")
-    bb.add_argument("--reps", type=int, default=3,
-                    help="repetitions per timing (best-of, default 3)")
-    bb.add_argument("--json-out", metavar="PATH",
-                    help="write the timing record as JSON")
-    bb.set_defaults(fn=cmd_build_bench)
 
     lb = sub.add_parser(
         "load-bench",

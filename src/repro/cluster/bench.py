@@ -65,7 +65,7 @@ def compare_cluster(
     tree = KDTree(pts)
     tracker.reset()
     t0 = time.perf_counter()
-    d2_mono, _ids_mono = tree.knn(qs, k, exclude_self=False, engine="batched")
+    d2_mono, _ids_mono = tree.knn(qs, k, exclude_self=False)
     balls_mono = [
         np.sort(tree.gids[i])
         for i in batched_range_query_ball_batch(tree, centers, radii)
@@ -77,7 +77,7 @@ def compare_cluster(
     idx = ShardedIndex(pts, n_shards)
     tracker.reset()
     t0 = time.perf_counter()
-    d2_shard, _ids_shard = idx.knn(qs, k, exclude_self=False, engine="batched")
+    d2_shard, _ids_shard = idx.knn(qs, k, exclude_self=False)
     balls_shard = idx.range_query_ball_batch(centers, radii)
     wall_shard = time.perf_counter() - t0
     cost_shard = tracker.reset()
@@ -146,7 +146,7 @@ def compare_procs(
     radii = np.full(len(centers), radius)
 
     tree = KDTree(pts)
-    d2_mono, _ = tree.knn(qs, k, exclude_self=False, engine="batched")
+    d2_mono, _ = tree.knn(qs, k, exclude_self=False)
     balls_mono = [
         np.sort(tree.gids[i])
         for i in batched_range_query_ball_batch(tree, centers, radii)
@@ -159,10 +159,10 @@ def compare_procs(
     for p in procs:
         with use_backend("processes", int(p)):
             # warm-up: snapshot pack + pool start + worker attach
-            idx.knn(qs[: min(32, len(qs))], k, engine="batched")
+            idx.knn(qs[: min(32, len(qs))], k)
             tracker.reset()
             t0 = time.perf_counter()
-            d2, _ = idx.knn(qs, k, exclude_self=False, engine="batched")
+            d2, _ = idx.knn(qs, k, exclude_self=False)
             balls = idx.range_query_ball_batch(centers, radii)
             wall = time.perf_counter() - t0
             cost = tracker.reset()

@@ -83,9 +83,6 @@ class ShardedIndex:
         ``max(skew_threshold * mean_size, rebalance_min)``.
     rebalance_min:
         Absolute size floor below which shards are never split.
-    build_engine:
-        Construction engine for the per-shard trees
-        ('batched'/'recursive'); None uses the process default.
     registry:
         Metrics registry to publish shard gauges / pruning histograms
         on (a private one is created when omitted).
@@ -101,7 +98,6 @@ class ShardedIndex:
         leaf_size: int = 16,
         skew_threshold: float = 4.0,
         rebalance_min: int = 1024,
-        build_engine: str | None = None,
         registry: MetricsRegistry | None = None,
     ):
         pts = as_array(points)
@@ -114,7 +110,6 @@ class ShardedIndex:
         self.dim = d
         self.buffer_size = buffer_size
         self.leaf_size = leaf_size
-        self.build_engine = build_engine
         self.skew_threshold = float(skew_threshold)
         self.rebalance_min = int(rebalance_min)
         self.part = HilbertPartitioner(pts, n_shards, bits=bits)
@@ -166,7 +161,6 @@ class ShardedIndex:
                             gids[owner == s],
                             buffer_size=buffer_size,
                             leaf_size=leaf_size,
-                            build_engine=build_engine,
                         )
                     )
                     for s in range(S)
@@ -296,7 +290,6 @@ class ShardedIndex:
         queries,
         k: int,
         exclude_self: bool = False,
-        engine: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of each query: (sq-dists, global ids), (m, k).
 
@@ -315,9 +308,7 @@ class ShardedIndex:
             probe[np.arange(m), home] = True
 
             def run_knn(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, engine=engine
-                )
+                return self.shards[s].tree.knn(qs[qidx], kk, exclude_self=False)
 
             # phase 1: probe each query's home shard for a candidate
             # kk-th distance (inf when the home shard is underfull)
@@ -325,7 +316,7 @@ class ShardedIndex:
                 probe, run_knn, "knn.probe",
                 remote=self._remote(
                     "knn", "knn.probe",
-                    lambda s, qidx: (qs[qidx], kk, engine, None),
+                    lambda s, qidx: (qs[qidx], kk, None),
                 ),
             )
             r2 = np.full(m, np.inf)
@@ -347,15 +338,14 @@ class ShardedIndex:
 
             def run_fanout(s: int, qidx: np.ndarray):
                 return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, engine=engine,
-                    bound=cutoff[qidx],
+                    qs[qidx], kk, exclude_self=False, bound=cutoff[qidx]
                 )
 
             for _, qidx, res in scatter(
                 fan, run_fanout, "knn.fanout",
                 remote=self._remote(
                     "knn", "knn.fanout",
-                    lambda s, qidx: (qs[qidx], kk, engine, cutoff[qidx]),
+                    lambda s, qidx: (qs[qidx], kk, cutoff[qidx]),
                 ),
             ):
                 parts.append((qidx, res[0], res[1]))
@@ -381,7 +371,6 @@ class ShardedIndex:
         queries,
         k: int,
         exclude_self: bool = False,
-        engine: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """*Approximate* kNN answered from each query's home shard only.
 
@@ -413,9 +402,7 @@ class ShardedIndex:
             probe &= self._occupied()[None, :]
 
             def run_knn(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, engine=engine
-                )
+                return self.shards[s].tree.knn(qs[qidx], kk, exclude_self=False)
 
             parts = [
                 (qidx, d2, gid)
@@ -423,7 +410,7 @@ class ShardedIndex:
                     probe, run_knn, "knn.home",
                     remote=self._remote(
                         "knn", "knn.home",
-                        lambda s, qidx: (qs[qidx], kk, engine, None),
+                        lambda s, qidx: (qs[qidx], kk, None),
                     ),
                 )
             ]
@@ -626,7 +613,6 @@ class ShardedIndex:
             gids[sel],
             buffer_size=self.buffer_size,
             leaf_size=self.leaf_size,
-            build_engine=self.build_engine,
         )
         self.shards[s : s + 1] = [mk(left), mk(~left)]
         self._restack()

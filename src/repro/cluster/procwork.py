@@ -70,7 +70,7 @@ def run_slab(payload):
     parent cut out of the batch (picklable, small — the shard state
     itself travels through shared memory, not the queue):
 
-    * ``"knn"``  — ``(queries, kk, engine, bound_or_None)``
+    * ``"knn"``  — ``(queries, kk, bound_or_None)``
     * ``"box"``  — ``(los, his)``
     * ``"ball"`` — ``(centers, radii)``
 
@@ -83,10 +83,8 @@ def run_slab(payload):
     with span(f"cluster.{label}.shard", cat="cluster",
               shard=int(slot), batch=len(args[0])):
         if kind == "knn":
-            qs, kk, engine, bound = args
-            return tree.knn(
-                qs, kk, exclude_self=False, engine=engine, bound=bound
-            )
+            qs, kk, bound = args
+            return tree.knn(qs, kk, exclude_self=False, bound=bound)
         if kind == "box":
             los, his = args
             return tree.range_query_box_batch(los, his)

@@ -29,8 +29,7 @@ class Shard:
     """A Hilbert-range shard: BDL-tree, bounding box, size."""
 
     def __init__(self, dim: int, points=None, gids=None, *,
-                 buffer_size: int | None = None, leaf_size: int = 16,
-                 build_engine: str | None = None):
+                 buffer_size: int | None = None, leaf_size: int = 16):
         self.dim = dim
         if buffer_size is None:
             # Auto-size the flush threshold to the build batch: with
@@ -41,8 +40,7 @@ class Shard:
             # mutation batches then amortize at n/4 as usual.
             n = 0 if points is None else len(points)
             buffer_size = max(32, n // 4)
-        self.tree = BDLTree(dim, buffer_size=buffer_size, leaf_size=leaf_size,
-                            build_engine=build_engine)
+        self.tree = BDLTree(dim, buffer_size=buffer_size, leaf_size=leaf_size)
         self.lo = np.full(dim, np.inf)
         self.hi = np.full(dim, -np.inf)
         if points is not None and len(points):

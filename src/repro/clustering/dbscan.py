@@ -20,7 +20,7 @@ from ..parlay.workdepth import charge
 __all__ = ["dbscan"]
 
 
-def dbscan(points, eps: float, min_pts: int, engine: str | None = None) -> np.ndarray:
+def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     """Cluster labels per point (noise = -1), deterministic."""
     pts = as_array(points)
     n = len(pts)
@@ -29,7 +29,7 @@ def dbscan(points, eps: float, min_pts: int, engine: str | None = None) -> np.nd
     tree = KDTree(pts)
 
     # every point's eps-neighborhood in one data-parallel batch
-    neighborhoods = range_query_ball_batch(tree, pts, eps, grain=64, engine=engine)
+    neighborhoods = range_query_ball_batch(tree, pts, eps, grain=64)
     core = np.array([len(nb) >= min_pts for nb in neighborhoods])
 
     uf = UnionFind(n)

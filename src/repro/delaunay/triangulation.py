@@ -8,6 +8,11 @@ plays the same role).  Robustness comes from the filtered-exact
 
 The triangulation is bootstrapped from a large bounding triangle whose
 vertices are removed at the end.
+
+Duplicate points are triangulated once: of each set of equal
+coordinates only the lowest id is inserted, and the others are reported
+in ``duplicates`` -- the exact-duplicate part of what
+``scipy.spatial.Delaunay.coplanar`` reports.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ class DelaunayTriangulation:
     ``triangles`` rows are ccw vertex-id triples; ``neighbors[t][e]`` is
     the triangle across edge e = (v[e], v[(e+1)%3]) of t, or -1.
     Vertex ids ``n..n+2`` are the bounding super-triangle (excluded from
-    results).
+    results).  ``duplicates`` rows are ``(dropped id, kept id)``: a
+    point whose coordinates equal those of the lower id it names, left
+    out of the triangulation.
     """
 
     def __init__(self, points):
@@ -55,6 +62,7 @@ class DelaunayTriangulation:
             ]
         )
         self.pts = np.vstack([pts, super_pts])
+        self.duplicates = _duplicates(pts)
         self.tri_v: list[list[int]] = [[self.n, self.n + 1, self.n + 2]]
         self.tri_n: list[list[int]] = [[-1, -1, -1]]
         self.alive: list[bool] = [True]
@@ -72,6 +80,10 @@ class DelaunayTriangulation:
         the round's maximum (see DESIGN.md §1).
         """
         order = morton_argsort(self.pts[: self.n])
+        if len(self.duplicates):
+            kept = np.ones(self.n, dtype=bool)
+            kept[self.duplicates[:, 0]] = False
+            order = order[kept[order]]
         i = 0
         round_size = 16
         while i < len(order):
@@ -205,6 +217,21 @@ class DelaunayTriangulation:
             if inside:
                 return False
         return True
+
+
+def _duplicates(pts: np.ndarray) -> np.ndarray:
+    """(dropped id, kept id) rows: each point equal (``==`` on every
+    coordinate) to a lower-id point, paired with the lowest such id."""
+    order = np.lexsort(pts.T[::-1])
+    s = pts[order]
+    same = np.all(s[1:] == s[:-1], axis=1)
+    # a group of equal rows starts wherever a row differs from the one
+    # before it; the stable sort puts each group's lowest id first
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    group = np.cumsum(np.concatenate(([True], ~same))) - 1
+    kept = order[first][group]
+    dropped = order != kept
+    return np.stack([order[dropped], kept[dropped]], axis=1).astype(np.int64)
 
 
 def delaunay(points) -> DelaunayTriangulation:

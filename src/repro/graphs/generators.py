@@ -59,7 +59,7 @@ def delaunay_graph(points) -> Graph:
     return Graph(len(pts), e, w)
 
 
-def gabriel_graph(points, engine: str | None = None) -> Graph:
+def gabriel_graph(points) -> Graph:
     """Gabriel graph: edges (u,v) whose disk with diameter uv is empty.
 
     Computed by filtering the Delaunay edges (Gabriel ⊆ Delaunay) with a
@@ -73,9 +73,7 @@ def gabriel_graph(points, engine: str | None = None) -> Graph:
     tree = KDTree(pts)
     mids = 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])
     radii = 0.5 * np.linalg.norm(pts[e[:, 0]] - pts[e[:, 1]], axis=1)
-    balls = range_query_ball_batch(
-        tree, mids, radii * (1 - 1e-12), grain=64, engine=engine
-    )
+    balls = range_query_ball_batch(tree, mids, radii * (1 - 1e-12), grain=64)
     keep = np.zeros(len(e), dtype=bool)
     for i, inside in enumerate(balls):
         u, v = e[i]

@@ -12,12 +12,7 @@ import numpy as np
 
 from ..core.points import as_array
 from .facets3d import FacetHull3D, build_initial_tetrahedron
-from .filter import (
-    at_extremes,
-    at_filter,
-    default_hull_prefilter,
-    set_default_hull_prefilter,
-)
+from .filter import at_extremes, at_filter
 from .hull2d import divide_conquer_2d, quickhull2d_parallel, quickhull2d_seq
 from .hull3d import (
     divide_conquer_3d,
@@ -45,8 +40,6 @@ __all__ = [
     "at_filter",
     "build_initial_tetrahedron",
     "convex_hull",
-    "default_hull_prefilter",
-    "set_default_hull_prefilter",
     "divide_conquer_2d",
     "divide_conquer_3d",
     "hull3d_facets",

@@ -25,43 +25,12 @@ rejection test).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..obs.span import span
 from ..parlay.workdepth import charge
 
-__all__ = [
-    "at_extremes",
-    "at_filter",
-    "default_hull_prefilter",
-    "resolve_prefilter",
-    "set_default_hull_prefilter",
-]
-
-_default_prefilter = os.environ.get("REPRO_HULL_FILTER", "1").lower() not in (
-    "0",
-    "off",
-    "false",
-    "no",
-)
-
-
-def default_hull_prefilter() -> bool:
-    """Whether hulls computed without ``prefilter=`` run the AT filter."""
-    return _default_prefilter
-
-
-def set_default_hull_prefilter(on: bool) -> None:
-    """Set the process-wide default for the Akl–Toussaint pre-filter."""
-    global _default_prefilter
-    _default_prefilter = bool(on)
-
-
-def resolve_prefilter(prefilter: bool | None) -> bool:
-    """Apply the process default for ``prefilter=None``."""
-    return _default_prefilter if prefilter is None else bool(prefilter)
+__all__ = ["at_extremes", "at_filter"]
 
 #: Safety factor on the eliminate-side rounding bound.  The cross
 #: product of doubles incurs at most a few ulps of error; 8 covers the

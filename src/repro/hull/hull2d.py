@@ -23,7 +23,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
-from .filter import at_filter, resolve_prefilter
+from .filter import at_filter
 
 __all__ = ["quickhull2d_seq", "quickhull2d_parallel", "divide_conquer_2d"]
 
@@ -101,7 +101,7 @@ def _qh_rec(
         _qh_rec(pts, ic, ib, left_cb, out, parallel, cr_cb)
 
 
-def _quickhull2d(points, parallel: bool, prefilter: bool | None = None) -> np.ndarray:
+def _quickhull2d(points, parallel: bool, prefilter: bool = True) -> np.ndarray:
     pts = as_array(points)
     if pts.shape[1] != 2:
         raise ValueError("quickhull2d requires 2-dimensional points")
@@ -115,7 +115,7 @@ def _quickhull2d(points, parallel: bool, prefilter: bool | None = None) -> np.nd
     # before quickhull sees them.  Kept points preserve their relative
     # order and every possible hull point survives, so the result is
     # bitwise-identical to the unfiltered run (only cheaper).
-    if resolve_prefilter(prefilter) and n >= 3:
+    if prefilter and n >= 3:
         keep = at_filter(pts)
         if not keep.all():
             sub = np.flatnonzero(keep)
@@ -158,17 +158,17 @@ def _quickhull2d(points, parallel: bool, prefilter: bool | None = None) -> np.nd
     return np.array(hull, dtype=np.int64)
 
 
-def quickhull2d_seq(points, prefilter: bool | None = None) -> np.ndarray:
+def quickhull2d_seq(points, prefilter: bool = True) -> np.ndarray:
     """Optimized sequential quickhull (the CGAL/Qhull-role baseline).
 
-    ``prefilter`` toggles the Akl–Toussaint interior-elimination pass
-    (default ``REPRO_HULL_FILTER``, on); the result is identical either
-    way.
+    ``prefilter`` runs the Akl–Toussaint interior-elimination pass
+    first; the result is identical either way.  The divide-and-conquer
+    hull turns it off for its per-block and final passes.
     """
     return _quickhull2d(points, parallel=False, prefilter=prefilter)
 
 
-def quickhull2d_parallel(points, prefilter: bool | None = None) -> np.ndarray:
+def quickhull2d_parallel(points, prefilter: bool = True) -> np.ndarray:
     """PBBS-style recursive parallel quickhull for R^2."""
     return _quickhull2d(points, parallel=True, prefilter=prefilter)
 

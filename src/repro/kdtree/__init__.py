@@ -11,13 +11,7 @@ from .batch import (
     batched_knn_into,
     resolve_engine,
 )
-from .build import (
-    BUILD_ENGINES,
-    build_batched,
-    default_build_engine,
-    resolve_build_engine,
-    set_default_build_engine,
-)
+from .build import build_batched
 from .delete import erase
 from .knn import extract_knn_results, knn, knn_into, knn_single
 from .knnbuffer import KNNBuffer
@@ -31,7 +25,6 @@ from .range_search import (
 from .tree import KDTree, OBJECT_MEDIAN, SPATIAL_MEDIAN, hyperceiling
 
 __all__ = [
-    "BUILD_ENGINES",
     "BatchKNNBuffers",
     "KDTree",
     "KNNBuffer",
@@ -41,11 +34,8 @@ __all__ = [
     "batched_knn",
     "batched_knn_into",
     "build_batched",
-    "default_build_engine",
     "erase",
-    "resolve_build_engine",
     "resolve_engine",
-    "set_default_build_engine",
     "extract_knn_results",
     "hyperceiling",
     "knn",

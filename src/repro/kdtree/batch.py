@@ -34,20 +34,18 @@ tree call carries enough queries to amortize it; the per-query walk
 pays interpreter cost per visited node and wins on tiny batches.  The
 serving path is dominated by tiny batches: a traced wallbench run
 answers 1.05 (``stream_views``) to 1.15 (``load_zipf``) requests per
-front-end batch, and each shard sees a slice of that.  With
-``engine=None`` every query entry point asks :func:`resolve_engine`,
-which walks below :data:`WALK_BELOW` queries per tree call and runs
-the lock-step engine from there on.  There is one cutoff per kernel
-family, from the measured crossover (table in DESIGN.md): for k=8 in
-2D a single kNN query walks in 0.2 ms against 1.5 ms in lock step and
-the two meet between 32 and 48 queries.  Range walks test node boxes
-a vEB chunk at a time (:class:`~repro.kdtree.tree.NodeGeometry`); box
-queries then meet near 4 and ball queries near 3, so range walks up to
-two queries per tree call.
+front-end batch, and each shard sees a slice of that.  Every query
+entry point asks :func:`resolve_engine`, which walks below
+:data:`WALK_BELOW` queries per tree call and runs the lock-step engine
+from there on.  There is one cutoff per kernel family, from the
+measured crossover (table in DESIGN.md): for k=8 in 2D a single kNN
+query walks in 0.2 ms against 1.5 ms in lock step and the two meet
+between 32 and 48 queries.  Range walks test node boxes a vEB chunk at
+a time (:class:`~repro.kdtree.tree.NodeGeometry`); box queries then
+meet near 4 and ball queries near 3, so range walks up to two queries
+per tree call.
 Both engines return identical rows and charges, so the rule only moves
-wall-clock time.  An explicit ``engine="batched" | "recursive"``
-bypasses the rule (tests, ablations,
-:func:`repro.bench.measure_engines`).
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from .range_search import ball_r2s, range_query_ball_batch, range_query_batch
 from .tree import KDTree
 
 __all__ = [
-    "ENGINES",
     "WALK_BELOW",
     "BatchKNNBuffers",
     "batched_allnn_on_tree",
@@ -74,9 +71,6 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Recognized query engines.
-ENGINES = ("batched", "recursive")
-
 #: Per kernel family, the tree-call batch size below which the
 #: per-query walk beats the lock-step engine, from the measured
 #: crossover (2D, k=8; table in DESIGN.md): k-NN crosses between m=32
@@ -84,18 +78,11 @@ ENGINES = ("batched", "recursive")
 WALK_BELOW = {"knn": 32, "range": 3}
 
 
-def resolve_engine(engine: str | None, m: int, family: str) -> str:
-    """The query engine for one tree call of ``m`` queries.
-
-    An explicit ``engine`` is validated and returned.  ``None`` applies
-    the size rule: ``"recursive"`` (the per-query walk) when ``m`` is
-    below ``WALK_BELOW[family]``, else ``"batched"``.
-    """
-    if engine is None:
-        return "recursive" if m < WALK_BELOW[family] else "batched"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown query engine {engine!r}; expected one of {ENGINES}")
-    return engine
+def resolve_engine(m: int, family: str) -> str:
+    """The query engine for one tree call of ``m`` queries: ``"recursive"``
+    (the per-query walk) when ``m`` is below ``WALK_BELOW[family]``,
+    else ``"batched"`` (the lock-step engine)."""
+    return "recursive" if m < WALK_BELOW[family] else "batched"
 
 
 def _ragged_arange(lens: np.ndarray) -> np.ndarray:

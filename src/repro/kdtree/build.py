@@ -17,8 +17,7 @@ frontier wiring — is computed in a cheap structural pass that mirrors
 level's partitions with the same kernel the recursive path uses
 (``np.argpartition`` row-by-row semantics are identical to the 1-D
 call), so ``perm``, ``split_val`` and the boxes match the recursive
-build bitwise.  Spatial-median trees have data-dependent structure and
-always take the recursive path (see :class:`~repro.kdtree.tree.KDTree`).
+build bitwise.
 
 **Cost invariance.**  The structural pass also replays the recursive
 builder's work/depth accounting — every ``charge`` and every
@@ -28,64 +27,21 @@ charges are therefore identical on every backend; what the batched
 engine gives up is per-task ``parlay.task`` spans under tracing (the
 same trade the batched query engine made).
 
-The engine is selected with ``engine="batched" | "recursive"`` on the
-construction entry points, defaulting to ``REPRO_BUILD_ENGINE``
-(batched).
+:class:`~repro.kdtree.tree.KDTree` runs :func:`build_batched` for every
+object-median tree.  Spatial-median trees have data-dependent structure,
+so the per-node recursion is their only builder; on object-median input
+it is the oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from ..parlay.workdepth import charge
 
-__all__ = [
-    "BUILD_ENGINES",
-    "build_batched",
-    "default_build_engine",
-    "resolve_build_engine",
-    "set_default_build_engine",
-]
-
-#: Recognized construction engines.
-BUILD_ENGINES = ("batched", "recursive")
-
-_default_build_engine = os.environ.get("REPRO_BUILD_ENGINE", "batched")
-
-
-def default_build_engine() -> str:
-    """The engine used when a tree is built without ``engine=``."""
-    return _default_build_engine
-
-
-def set_default_build_engine(name: str) -> None:
-    """Set the process-wide default construction engine."""
-    global _default_build_engine
-    if name not in BUILD_ENGINES:
-        raise ValueError(
-            f"unknown build engine {name!r}; expected one of {BUILD_ENGINES}"
-        )
-    _default_build_engine = name
-
-
-def resolve_build_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument, applying the default for None."""
-    if engine is None:
-        engine = _default_build_engine
-        if engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build engine {engine!r} (from REPRO_BUILD_ENGINE); "
-                f"expected one of {BUILD_ENGINES}"
-            )
-        return engine
-    if engine not in BUILD_ENGINES:
-        raise ValueError(
-            f"unknown build engine {engine!r}; expected one of {BUILD_ENGINES}"
-        )
-    return engine
+__all__ = ["build_batched"]
 
 
 # ----------------------------------------------------------------------

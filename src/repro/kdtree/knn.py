@@ -114,7 +114,6 @@ def knn(
     queries,
     k: int,
     exclude_self: bool = False,
-    engine: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Data-parallel k-NN over a batch of query points.
 
@@ -124,18 +123,17 @@ def knn(
     own points, else by zero distance) is excluded; callers should then
     ask for ``k`` true neighbors.
 
-    ``engine`` selects the execution strategy: ``"batched"`` runs the
-    whole batch through the vectorized frontier engine of
-    :mod:`repro.kdtree.batch`; ``"recursive"`` walks the tree once per
-    query; ``None`` picks by batch size
-    (:func:`~repro.kdtree.batch.resolve_engine`).  Results and
-    work/depth charges are identical.
+    The batch size picks the engine
+    (:func:`~repro.kdtree.batch.resolve_engine`): the vectorized
+    frontier engine of :mod:`repro.kdtree.batch`, or one tree walk per
+    query below the cutoff.  Results and work/depth charges are
+    identical.
     """
     from .batch import batched_knn, resolve_engine
 
     qs = as_array(queries)
-    eng = resolve_engine(engine, len(qs), "knn")
-    with span("kdtree.knn", batch=len(qs), k=k, engine=eng):
+    eng = resolve_engine(len(qs), "knn")
+    with span("kdtree.knn", batch=len(qs), k=k, kernel=eng):
         if eng == "batched":
             return batched_knn(tree, qs, k, exclude_self)
         m = len(qs)

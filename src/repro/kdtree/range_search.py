@@ -131,15 +131,12 @@ def range_query_ball(tree: KDTree, center, radius: float) -> np.ndarray:
     return np.concatenate(out)
 
 
-def range_query_batch(
-    tree: KDTree, los, his, grain: int = 16, engine: str | None = None
-) -> list[np.ndarray]:
+def range_query_batch(tree: KDTree, los, his, grain: int = 16) -> list[np.ndarray]:
     """Data-parallel batch of box queries (one result list per box).
 
     Queries run in blocks across the scheduler — the paper's range
-    search benchmark shape (parallel across queries).  ``engine``
-    selects between the vectorized frontier traversal ("batched") and
-    the per-query recursion ("recursive"); ``None`` picks by batch size
+    search benchmark shape (parallel across queries).  The batch size
+    picks the vectorized frontier traversal or the per-query recursion
     (:func:`~repro.kdtree.batch.resolve_engine`).  Results and charges
     are identical.
     """
@@ -148,7 +145,7 @@ def range_query_batch(
     los = np.asarray(los, dtype=np.float64)
     his = np.asarray(his, dtype=np.float64)
     m = len(los)
-    if resolve_engine(engine, m, "range") == "batched":
+    if resolve_engine(m, "range") == "batched":
         return batched_range_query_batch(tree, los, his, grain=grain)
 
     from ..parlay.scheduler import get_scheduler
@@ -167,14 +164,12 @@ def range_query_batch(
     return results
 
 
-def range_query_ball_batch(
-    tree: KDTree, centers, radii, grain: int = 16, engine: str | None = None
-) -> list[np.ndarray]:
+def range_query_ball_batch(tree: KDTree, centers, radii, grain: int = 16) -> list[np.ndarray]:
     """Data-parallel batch of ball queries (per-query radii allowed)."""
     from .batch import batched_range_query_ball_batch, resolve_engine
 
     centers = np.asarray(centers, dtype=np.float64)
-    if resolve_engine(engine, len(centers), "range") == "batched":
+    if resolve_engine(len(centers), "range") == "batched":
         return batched_range_query_ball_batch(tree, centers, radii, grain=grain)
 
     from ..parlay.scheduler import get_scheduler

@@ -23,7 +23,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge, fork_costs
-from .build import build_batched, resolve_build_engine
+from .build import build_batched
 
 __all__ = [
     "KDTree",
@@ -116,17 +116,14 @@ class KDTree:
         ``'object'`` (object median) or ``'spatial'`` (spatial median).
     leaf_size:
         Target maximum points per leaf.
-    engine:
-        Construction engine: ``'batched'`` (level-at-a-time vectorized
-        build, see :mod:`repro.kdtree.build`) or ``'recursive'`` (the
-        per-node recursion below).  Defaults to ``REPRO_BUILD_ENGINE``.
-        Both produce bitwise-identical trees and charges; spatial-median
-        trees have data-dependent structure and always build via the
-        recursive path.
+
+    The split rule picks the builder: object-median trees build
+    level-at-a-time (:func:`~repro.kdtree.build.build_batched`);
+    spatial-median trees have data-dependent structure and build by the
+    per-node recursion below.
     """
 
-    def __init__(self, points, split: str = OBJECT_MEDIAN, leaf_size: int = 16, gids=None,
-                 engine: str | None = None):
+    def __init__(self, points, split: str = OBJECT_MEDIAN, leaf_size: int = 16, gids=None):
         pts = as_array(points)
         if split not in (OBJECT_MEDIAN, SPATIAL_MEDIAN):
             raise ValueError(f"unknown split rule {split!r}")
@@ -143,7 +140,6 @@ class KDTree:
                 raise ValueError("gids length mismatch")
         self.split = split
         self.leaf_size = leaf_size
-        self.build_engine = resolve_build_engine(engine)
         n, d = pts.shape
         self.n_points = n
         self.dim = d
@@ -179,9 +175,8 @@ class KDTree:
         self.version = 0
 
         if n > 0:
-            with span("kdtree.build", batch=n, split=split,
-                      engine=self.build_engine):
-                if self.build_engine == "batched" and split == OBJECT_MEDIAN:
+            with span("kdtree.build", batch=n, split=split):
+                if split == OBJECT_MEDIAN:
                     build_batched(self)
                 else:
                     self._build()
@@ -385,10 +380,10 @@ class KDTree:
 
     # -- queries are provided by the sibling modules and re-exported on the
     #    class for convenience --------------------------------------------
-    def knn(self, queries, k: int, exclude_self: bool = False, engine: str | None = None):
+    def knn(self, queries, k: int, exclude_self: bool = False):
         from .knn import knn as _knn
 
-        return _knn(self, queries, k, exclude_self=exclude_self, engine=engine)
+        return _knn(self, queries, k, exclude_self=exclude_self)
 
     def knn_into(self, queries, buffers, exclude_self: bool = False):
         from .knn import knn_into as _knn_into

@@ -18,7 +18,7 @@ JSONL:
 
 :func:`replay` feeds a trace through a :class:`GeometryService`
 (``max_batch`` slabs between mutations + the versioned cache), while
-:func:`run_unbatched` is the one-request-at-a-time recursive-engine
+:func:`run_unbatched` is the one-request-at-a-time per-query-walk
 loop the service is benchmarked against; both produce results in the
 same convention (global ids), so replays can be checked for bitwise
 equality.
@@ -465,8 +465,8 @@ def replay(service: GeometryService, dataset: str, trace: list[dict]) -> ReplayR
 
 
 def run_unbatched(index, trace: list[dict], *, views: dict | None = None) -> list:
-    """The baseline the service is measured against: one recursive-engine
-    query per request, no batching, no cache.
+    """The baseline the service is measured against: one tree walk per
+    request, no batching, no cache.
 
     Results use the service's conventions (global ids; (sq-dists, ids)
     rows for kNN), so they compare bitwise against a replay's results.
@@ -487,8 +487,7 @@ def run_unbatched(index, trace: list[dict], *, views: dict | None = None) -> lis
         if kind == "knn":
             q = np.asarray(op["q"], dtype=np.float64)[None, :]
             d, g = index.knn(q, int(op["k"]),
-                             exclude_self=bool(op.get("exclude_self", False)),
-                             engine="recursive")
+                             exclude_self=bool(op.get("exclude_self", False)))
             out.append((d[0], g[0]))
         elif kind == "ball":
             c = np.asarray(op["c"], dtype=np.float64)

@@ -27,6 +27,8 @@ from repro.kdtree.range_search import (
 )
 from repro.parlay import tracker
 
+from ._engines import forced_engine
+
 RADII = [-20.0, -1e-300, -0.0, 0.0, 7.5, 20.0, -np.inf, np.inf]
 
 
@@ -41,9 +43,10 @@ def _brute(pts, gids, c, r):
     return np.sort(gids[dist <= r])
 
 
-def _costed(fn, *args):
+def _costed(engine, fn, *args):
     tracker.reset()
-    out = fn(*args)
+    with forced_engine(engine):
+        out = fn(*args)
     cost = tracker.total()
     tracker.reset()
     return out, cost
@@ -63,8 +66,8 @@ def test_walk_and_lockstep_match_brute_force_and_each_other(r):
     t.erase(pts[:50])  # tombstones: live counts differ from build counts
     live = np.flatnonzero(t.alive)
     centers = np.array([[40.0, 60.0], [0.0, 0.0], [99.0, 12.0]])
-    walk, cw = _costed(range_query_ball_batch, t, centers, np.full(3, r), 16, "recursive")
-    lock, cl = _costed(range_query_ball_batch, t, centers, np.full(3, r), 16, "batched")
+    walk, cw = _costed("recursive", range_query_ball_batch, t, centers, np.full(3, r))
+    lock, cl = _costed("batched", range_query_ball_batch, t, centers, np.full(3, r))
     for c, a, b in zip(centers, walk, lock):
         want = _brute(pts[live], live, c, r)
         assert np.array_equal(np.sort(a), want)

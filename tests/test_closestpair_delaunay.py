@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from scipy.spatial import Delaunay as SciDelaunay
 from scipy.spatial.distance import pdist
 
@@ -104,3 +105,51 @@ class TestDelaunay:
         pts = visual_var(600, 2, seed=9).coords
         dt = delaunay(pts)
         assert dt.check_delaunay(sample=60)
+
+
+def _covered_area(dt) -> float:
+    t = dt.triangles()
+    a, b, c = dt.pts[t[:, 0]], dt.pts[t[:, 1]], dt.pts[t[:, 2]]
+    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
+        b[:, 1] - a[:, 1]
+    ) * (c[:, 0] - a[:, 0])
+    return float(np.abs(cross).sum() / 2)
+
+
+class TestDelaunayDuplicates:
+    """Duplicates are triangulated once and reported, as scipy's
+    ``Delaunay.coplanar`` reports them."""
+
+    def _assert_complete(self, pts):
+        dt = delaunay(pts)
+        assert dt.check_delaunay()
+        assert dt.check_delaunay(sample=len(dt.triangles()))
+        assert _covered_area(dt) == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+        # every dropped id equals its kept id, which is lower and kept
+        drop, keep = dt.duplicates.T
+        assert np.all(pts[drop] == pts[keep]) and np.all(keep < drop)
+        uniq = len(np.unique(pts, axis=0))
+        assert len(pts) - len(dt.duplicates) == uniq
+        assert not np.isin(drop, dt.triangles()).any()
+        return dt
+
+    def test_binomial_cloud(self):
+        # the pydelaunay usage example: 860 unique of 1,000 points
+        rng = np.random.default_rng(0)
+        pts = rng.binomial(1024, 0.5, (1000, 2)).astype(np.float64)
+        dt = self._assert_complete(pts)
+        assert len(dt.duplicates) == 140
+
+    def test_grid_with_copies(self):
+        rng = np.random.default_rng(1)
+        cells = rng.choice(64 * 64, 1000, replace=False)
+        grid = np.stack([cells // 64, cells % 64], axis=1).astype(np.float64)
+        self._assert_complete(grid)
+        copies = grid[rng.choice(1000, 50)]
+        dt = self._assert_complete(np.vstack([grid, copies]))
+        assert len(dt.duplicates) == 50
+        assert np.array_equal(np.sort(dt.duplicates[:, 0]), np.arange(1000, 1050))
+
+    def test_no_duplicates_reports_none(self, rng):
+        dt = delaunay(rng.uniform(size=(50, 2)))
+        assert dt.duplicates.shape == (0, 2)

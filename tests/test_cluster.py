@@ -24,6 +24,7 @@ from repro.cluster import (
 from repro.kdtree import KDTree
 from repro.kdtree.batch import batched_range_query_ball_batch
 
+from ._engines import forced_engine
 from ._hilbert_reference import (
     reference_hilbert_codes,
     reference_owners,
@@ -171,8 +172,8 @@ def _assert_equivalent(idx, live_pts, live_gids, queries, k):
     """knn/box/ball answers must be bitwise-identical to a monolithic
     KDTree over the same live (point, gid) set."""
     tree = KDTree(live_pts, gids=live_gids)
-    dm, im = tree.knn(queries, k, engine="batched")
-    ds, is_ = idx.knn(queries, k, engine="batched")
+    dm, im = tree.knn(queries, k)
+    ds, is_ = idx.knn(queries, k)
     assert np.array_equal(dm, ds), "knn distances diverge"
     assert np.array_equal(im, is_), "knn ids diverge"
 
@@ -228,16 +229,18 @@ class TestShardedIndexEquivalence:
         pts = rng.uniform(0, 10, (400, 2))
         tree = KDTree(pts)
         idx = ShardedIndex(pts, 7)
-        dm, im = tree.knn(pts[:60], 4, exclude_self=True, engine="batched")
-        ds, is_ = idx.knn(pts[:60], 4, exclude_self=True, engine="batched")
+        dm, im = tree.knn(pts[:60], 4, exclude_self=True)
+        ds, is_ = idx.knn(pts[:60], 4, exclude_self=True)
         assert np.array_equal(dm, ds) and np.array_equal(im, is_)
 
     def test_both_engines_agree(self, rng):
         pts = rng.uniform(0, 10, (300, 3))
         qs = rng.uniform(0, 10, (50, 3))
         idx = ShardedIndex(pts, 7)
-        db, ib = idx.knn(qs, 6, engine="batched")
-        dr, ir = idx.knn(qs, 6, engine="recursive")
+        with forced_engine("batched"):
+            db, ib = idx.knn(qs, 6)
+        with forced_engine("recursive"):
+            dr, ir = idx.knn(qs, 6)
         assert np.array_equal(db, dr) and np.array_equal(ib, ir)
 
     @settings(max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ end-to-end (scaled down via monkeypatched generators where needed), and
 the README quickstart snippet must be valid code.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -159,3 +160,39 @@ class TestCLIHelp:
         bench_help = sub.choices["cluster-bench"].format_help()
         for flag in ("--shards", "--workers", "--json-out"):
             assert flag in bench_help, flag
+
+
+class TestDocsMatchCode:
+    """The docs name no removed flag, subcommand or env var."""
+
+    def test_readme_cli_lines_parse(self):
+        import shlex
+
+        from repro.cli import build_parser
+
+        lines = [
+            m.group(1)
+            for m in re.finditer(
+                r"^(?:\$ )?python -m repro (.+)$",
+                (REPO / "README.md").read_text(),
+                re.MULTILINE,
+            )
+        ]
+        assert lines, "README.md shows no 'python -m repro' command"
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line!r}")
+
+    def test_documented_env_vars_are_read(self):
+        code = "\n".join(
+            p.read_text()
+            for root in ("src", "benchmarks")
+            for p in (REPO / root).rglob("*.py")
+        )
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            for name in set(re.findall(r"REPRO_[A-Z0-9_]+", (REPO / doc).read_text())):
+                assert re.search(rf"[\"']{name}[\"']", code), (
+                    f"{doc} names {name}, which no code reads"
+                )

@@ -10,13 +10,11 @@ from repro.generators import in_sphere, on_cube, on_sphere, uniform
 from repro.hull import (
     at_extremes,
     at_filter,
-    default_hull_prefilter,
     divide_conquer_2d,
     quickhull2d_parallel,
     quickhull2d_seq,
     randinc_hull2d,
     reservation_quickhull2d,
-    set_default_hull_prefilter,
 )
 
 
@@ -124,13 +122,19 @@ def _assert_filter_transparent(pts):
 
 
 class TestAklToussaintFilter:
-    def test_default_is_on(self):
-        assert default_hull_prefilter() is True
-        set_default_hull_prefilter(False)
-        try:
-            assert default_hull_prefilter() is False
-        finally:
-            set_default_hull_prefilter(True)
+    def test_default_is_on(self, monkeypatch):
+        import repro.hull.hull2d as H
+
+        calls = []
+        monkeypatch.setattr(H, "at_filter", lambda p: calls.append(len(p)) or at_filter(p))
+        pts = uniform(500, 2, seed=1).coords
+        for fn in (quickhull2d_seq, quickhull2d_parallel):
+            calls.clear()
+            fn(pts)
+            assert calls == [len(pts)], fn.__name__
+            calls.clear()
+            fn(pts, prefilter=False)
+            assert calls == [], fn.__name__
 
     def test_filter_actually_eliminates(self):
         pts = uniform(3000, 2, seed=3).coords

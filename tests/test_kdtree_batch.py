@@ -4,8 +4,13 @@ The contract of ``repro.kdtree.batch`` is *exact* equivalence: for any
 tree (including ones with deleted points) and any query batch, the
 batched engine returns bitwise-identical results to the per-query
 recursion AND charges identical work/depth to the cost tracker — it is
-a wall-clock optimization only.  These tests enforce that contract.
+a wall-clock optimization only.  These tests enforce that contract,
+forcing one engine at a time with ``tests/_engines.py``; the batched
+build is checked against the per-node recursion through
+``tests/_build_reference.py``.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,21 +20,20 @@ from hypothesis.extra.numpy import arrays
 from repro.bdl import BDLTree
 from repro.clustering import dbscan
 from repro.kdtree import (
-    BUILD_ENGINES,
     BatchKNNBuffers,
     KDTree,
     KNNBuffer,
     all_nearest_neighbors,
-    default_build_engine,
-    resolve_build_engine,
     resolve_engine,
-    set_default_build_engine,
 )
-from repro.kdtree.batch import ENGINES, WALK_BELOW
+from repro.kdtree.batch import WALK_BELOW
 from repro.kdtree.tree import SPATIAL_MEDIAN
 from repro.kdtree.knn import knn
 from repro.kdtree.range_search import range_query_batch, range_query_ball_batch
 from repro.parlay import tracker
+
+from ._build_reference import assert_same_tree, rebuild_recursive, recursive_builds
+from ._engines import ENGINES, forced_engine
 
 
 def costed(fn, *args, **kwargs):
@@ -38,6 +42,18 @@ def costed(fn, *args, **kwargs):
     cost = tracker.total()
     tracker.reset()
     return out, cost
+
+
+def costed_on(engine, fn, *args, **kwargs):
+    """``costed`` with every tree call forced onto ``engine``."""
+    with forced_engine(engine):
+        return costed(fn, *args, **kwargs)
+
+
+def recursive_kdtree(points, **kwargs):
+    """A KDTree built by the per-node recursion (the build oracle)."""
+    with recursive_builds():
+        return KDTree(points, **kwargs)
 
 
 def assert_same_cost(cr, cb, label=""):
@@ -49,19 +65,24 @@ def assert_same_cost(cr, cb, label=""):
 
 class TestEngineSelection:
     def test_resolve_explicit(self):
-        for m in (0, 1, 10_000):
-            for family in ("knn", "range"):
-                assert resolve_engine("recursive", m, family) == "recursive"
-                assert resolve_engine("batched", m, family) == "batched"
+        # a forced engine overrides the size rule at every batch size;
+        # every equivalence test below relies on it
+        for eng in ENGINES:
+            with forced_engine(eng):
+                for m in (0, 1, 10_000):
+                    for family in ("knn", "range"):
+                        assert resolve_engine(m, family) == eng
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            resolve_engine("vectorized", 1, "knn")
+            with forced_engine("vectorized"):
+                pass
 
     def test_knn_rejects_unknown_engine(self, rng):
+        # the size rule is the only selection: no per-call override
         t = KDTree(rng.uniform(size=(32, 2)))
-        with pytest.raises(ValueError):
-            knn(t, rng.uniform(size=(4, 2)), 2, engine="nope")
+        with pytest.raises(TypeError):
+            knn(t, rng.uniform(size=(4, 2)), 2, engine="batched")
 
 
 class TestKnnEquivalence:
@@ -70,8 +91,8 @@ class TestKnnEquivalence:
         pts = rng.uniform(0, 100, size=(1500, dim))
         qs = rng.uniform(0, 100, size=(400, dim))
         t = KDTree(pts)
-        (dr, ir), cr = costed(knn, t, qs, 8, engine="recursive")
-        (db, ib), cb = costed(knn, t, qs, 8, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, qs, 8)
+        (db, ib), cb = costed_on("batched", knn, t, qs, 8)
         assert np.array_equal(dr, db)
         assert np.array_equal(ir, ib)
         assert_same_cost(cr, cb, f"knn dim={dim}")
@@ -82,8 +103,8 @@ class TestKnnEquivalence:
         qs = rng.uniform(0, 100, size=(300, dim))
         t = KDTree(pts.copy())
         t.erase(pts[::3])  # tombstones points and kills whole subtrees
-        (dr, ir), cr = costed(knn, t, qs, 5, engine="recursive")
-        (db, ib), cb = costed(knn, t, qs, 5, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, qs, 5)
+        (db, ib), cb = costed_on("batched", knn, t, qs, 5)
         assert np.array_equal(dr, db)
         assert np.array_equal(ir, ib)
         assert_same_cost(cr, cb, f"knn deleted dim={dim}")
@@ -91,8 +112,8 @@ class TestKnnEquivalence:
     def test_exclude_self(self, rng):
         pts = rng.uniform(0, 10, size=(500, 3))
         t = KDTree(pts)
-        (dr, ir), cr = costed(knn, t, pts, 4, True, engine="recursive")
-        (db, ib), cb = costed(knn, t, pts, 4, True, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, pts, 4, True)
+        (db, ib), cb = costed_on("batched", knn, t, pts, 4, True)
         assert np.array_equal(dr, db)
         assert np.array_equal(ir, ib)
         assert np.all(ib != np.arange(len(pts))[:, None])
@@ -102,8 +123,8 @@ class TestKnnEquivalence:
         pts = rng.uniform(size=(7, 3))
         qs = rng.uniform(size=(5, 3))
         t = KDTree(pts)
-        (dr, ir), cr = costed(knn, t, qs, 12, engine="recursive")
-        (db, ib), cb = costed(knn, t, qs, 12, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, qs, 12)
+        (db, ib), cb = costed_on("batched", knn, t, qs, 12)
         assert np.array_equal(dr, db)
         assert np.array_equal(ir, ib)
         assert np.all(ib[:, 7:] == -1)
@@ -111,14 +132,14 @@ class TestKnnEquivalence:
 
     def test_empty_tree_and_empty_batch(self, rng):
         te = KDTree(np.empty((0, 2)))
-        (dr, ir), cr = costed(knn, te, rng.uniform(size=(4, 2)), 2, engine="recursive")
-        (db, ib), cb = costed(knn, te, rng.uniform(size=(4, 2)), 2, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, te, rng.uniform(size=(4, 2)), 2)
+        (db, ib), cb = costed_on("batched", knn, te, rng.uniform(size=(4, 2)), 2)
         assert np.array_equal(dr, db) and np.array_equal(ir, ib)
         assert_same_cost(cr, cb, "empty tree")
 
         t = KDTree(rng.uniform(size=(50, 2)))
-        (dr, ir), cr = costed(knn, t, np.empty((0, 2)), 3, engine="recursive")
-        (db, ib), cb = costed(knn, t, np.empty((0, 2)), 3, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, np.empty((0, 2)), 3)
+        (db, ib), cb = costed_on("batched", knn, t, np.empty((0, 2)), 3)
         assert dr.shape == db.shape == (0, 3)
         assert_same_cost(cr, cb, "empty batch")
 
@@ -127,8 +148,8 @@ class TestKnnEquivalence:
         t = KDTree(pts.copy())
         t.erase(pts)
         qs = rng.uniform(size=(10, 2))
-        (dr, ir), cr = costed(knn, t, qs, 3, engine="recursive")
-        (db, ib), cb = costed(knn, t, qs, 3, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, qs, 3)
+        (db, ib), cb = costed_on("batched", knn, t, qs, 3)
         assert np.all(ib == -1)
         assert np.array_equal(ir, ib) and np.array_equal(dr, db)
         assert_same_cost(cr, cb, "dead tree")
@@ -141,8 +162,8 @@ class TestRangeEquivalence:
         t = KDTree(pts)
         ctr = rng.uniform(0, 100, size=(200, dim))
         w = rng.uniform(1, 25, size=(200, dim))
-        rr, cr = costed(range_query_batch, t, ctr - w, ctr + w, engine="recursive")
-        rb, cb = costed(range_query_batch, t, ctr - w, ctr + w, engine="batched")
+        rr, cr = costed_on("recursive", range_query_batch, t, ctr - w, ctr + w)
+        rb, cb = costed_on("batched", range_query_batch, t, ctr - w, ctr + w)
         assert len(rr) == len(rb)
         for a, b in zip(rr, rb):
             assert np.array_equal(a, b)
@@ -155,8 +176,8 @@ class TestRangeEquivalence:
         t.erase(pts[100:500])
         ctr = rng.uniform(0, 100, size=(150, 3))
         rad = rng.uniform(2, 20, size=150)
-        rr, cr = costed(range_query_ball_batch, t, ctr, rad, engine="recursive")
-        rb, cb = costed(range_query_ball_batch, t, ctr, rad, engine="batched")
+        rr, cr = costed_on("recursive", range_query_ball_batch, t, ctr, rad)
+        rb, cb = costed_on("batched", range_query_ball_batch, t, ctr, rad)
         for a, b in zip(rr, rb):
             assert np.array_equal(a, b)
         assert_same_cost(cr, cb, "ball+deletes")
@@ -165,8 +186,8 @@ class TestRangeEquivalence:
         pts = rng.uniform(0, 10, size=(400, 2))
         t = KDTree(pts)
         ctr = rng.uniform(0, 10, size=(60, 2))
-        rr, cr = costed(range_query_ball_batch, t, ctr, 1.5, engine="recursive")
-        rb, cb = costed(range_query_ball_batch, t, ctr, 1.5, engine="batched")
+        rr, cr = costed_on("recursive", range_query_ball_batch, t, ctr, 1.5)
+        rb, cb = costed_on("batched", range_query_ball_batch, t, ctr, 1.5)
         for a, b in zip(rr, rb):
             assert np.array_equal(a, b)
         assert_same_cost(cr, cb, "scalar radius")
@@ -191,20 +212,20 @@ class TestMultiChunkWalks:
         for m in (1, 3):
             qs = rng.uniform(0, 100, size=(m, dim))
             qs[0] = pts[rng.integers(n)]
-            (dr, ir), cr = costed(knn, t, qs, 8, engine="recursive")
-            (db, ib), cb = costed(knn, t, qs, 8, engine="batched")
+            (dr, ir), cr = costed_on("recursive", knn, t, qs, 8)
+            (db, ib), cb = costed_on("batched", knn, t, qs, 8)
             assert np.array_equal(dr, db) and np.array_equal(ir, ib)
             assert_same_cost(cr, cb, f"knn n={n} dim={dim} m={m}")
 
             half = rng.uniform(2.5, 25, size=(m, dim))
-            rr, cr = costed(range_query_batch, t, qs - half, qs + half, engine="recursive")
-            rb, cb = costed(range_query_batch, t, qs - half, qs + half, engine="batched")
+            rr, cr = costed_on("recursive", range_query_batch, t, qs - half, qs + half)
+            rb, cb = costed_on("batched", range_query_batch, t, qs - half, qs + half)
             assert all(np.array_equal(a, b) for a, b in zip(rr, rb))
             assert_same_cost(cr, cb, f"box n={n} dim={dim} m={m}")
 
             rad = rng.uniform(5, 40, size=m)
-            rr, cr = costed(range_query_ball_batch, t, qs, rad, engine="recursive")
-            rb, cb = costed(range_query_ball_batch, t, qs, rad, engine="batched")
+            rr, cr = costed_on("recursive", range_query_ball_batch, t, qs, rad)
+            rb, cb = costed_on("batched", range_query_ball_batch, t, qs, rad)
             assert all(np.array_equal(a, b) for a, b in zip(rr, rb))
             assert_same_cost(cr, cb, f"ball n={n} dim={dim} m={m}")
 
@@ -217,8 +238,8 @@ class TestConsumers:
             b.insert(pts[i : i + 400])
         b.erase(pts[50:250])
         qs = rng.uniform(0, 10, size=(300, 3))
-        (dr, ir), cr = costed(b.knn, qs, 6, engine="recursive")
-        (db, ib), cb = costed(b.knn, qs, 6, engine="batched")
+        (dr, ir), cr = costed_on("recursive", b.knn, qs, 6)
+        (db, ib), cb = costed_on("batched", b.knn, qs, 6)
         assert np.array_equal(dr, db)
         assert np.array_equal(ir, ib)
         assert_same_cost(cr, cb, "bdl knn")
@@ -229,33 +250,22 @@ class TestConsumers:
         b = BDLTree(2, buffer_size=64)
         b.insert(pts)
         qs = rng.uniform(0, 10, size=(12, 2))
-        (dr, ir), cr = costed(b.knn, qs, 3, engine="recursive")
-        (db, ib), cb = costed(b.knn, qs, 3, engine="batched")
+        (dr, ir), cr = costed_on("recursive", b.knn, qs, 3)
+        (db, ib), cb = costed_on("batched", b.knn, qs, 3)
         assert np.array_equal(dr, db) and np.array_equal(ir, ib)
         assert_same_cost(cr, cb, "bdl buffer-only")
-
-    def test_allnn_matches_dual_tree(self, rng):
-        for n, d in ((200, 2), (300, 3), (128, 5)):
-            pts = rng.uniform(0, 10, size=(n, d))
-            dd, di = all_nearest_neighbors(pts, engine="recursive")
-            bd, bi = all_nearest_neighbors(pts, engine="batched")
-            assert np.allclose(dd, bd)
-            assert np.all(bi != np.arange(n))
-            # ids match wherever the nearest neighbor is unique
-            uniq = ~np.isclose(bd, 0)
-            assert np.array_equal(di[uniq], bi[uniq]) or np.allclose(dd, bd)
 
     def test_allnn_duplicates_pair_up(self, rng):
         pts = rng.uniform(size=(30, 2))
         pts[1] = pts[0]
-        bd, bi = all_nearest_neighbors(pts, engine="batched")
+        bd, bi = all_nearest_neighbors(pts)
         assert bd[0] == 0.0 and bd[1] == 0.0
         assert bi[0] == 1 and bi[1] == 0
 
     def test_dbscan_labels_identical(self, rng):
         pts = rng.uniform(0, 10, size=(600, 2))
-        lr, cr = costed(dbscan, pts, 0.7, 8, engine="recursive")
-        lb, cb = costed(dbscan, pts, 0.7, 8, engine="batched")
+        lr, cr = costed_on("recursive", dbscan, pts, 0.7, 8)
+        lb, cb = costed_on("batched", dbscan, pts, 0.7, 8)
         assert np.array_equal(lr, lb)
         assert_same_cost(cr, cb, "dbscan")
 
@@ -267,16 +277,16 @@ def _around_cutoff(family):
 
 
 class TestSizeRule:
-    """``engine=None`` picks by batch size; on every side of the
-    cutoff it must equal both explicit engines, rows and charges."""
+    """The size rule picks the engine; on every side of the cutoff it
+    must equal both forced engines, rows and charges."""
 
     def test_rule_switches_at_cutoff(self):
         for family, c in WALK_BELOW.items():
-            assert resolve_engine(None, c, family) == "batched"
-            assert resolve_engine(None, 64, family) == "batched"
+            assert resolve_engine(c, family) == "batched"
+            assert resolve_engine(64, family) == "batched"
             if c > 1:
-                assert resolve_engine(None, 1, family) == "recursive"
-                assert resolve_engine(None, c - 1, family) == "recursive"
+                assert resolve_engine(1, family) == "recursive"
+                assert resolve_engine(c - 1, family) == "recursive"
 
     @pytest.mark.parametrize("m", _around_cutoff("knn"))
     def test_knn_default_matches_both_engines(self, m, rng):
@@ -286,7 +296,7 @@ class TestSizeRule:
         qs = rng.uniform(0, 100, size=(m, 2))
         (dd, idd), cd = costed(knn, t, qs, 8)
         for eng in ENGINES:
-            (de, ie), ce = costed(knn, t, qs, 8, engine=eng)
+            (de, ie), ce = costed_on(eng, knn, t, qs, 8)
             assert np.array_equal(dd, de) and np.array_equal(idd, ie)
             assert_same_cost(ce, cd, f"knn m={m} vs {eng}")
 
@@ -301,10 +311,10 @@ class TestSizeRule:
         rd, cd = costed(range_query_batch, t, ctr - half, ctr + half)
         bd, cbd = costed(range_query_ball_batch, t, ctr, rad)
         for eng in ENGINES:
-            re_, ce = costed(range_query_batch, t, ctr - half, ctr + half, engine=eng)
+            re_, ce = costed_on(eng, range_query_batch, t, ctr - half, ctr + half)
             assert all(np.array_equal(a, b) for a, b in zip(rd, re_))
             assert_same_cost(ce, cd, f"box m={m} vs {eng}")
-            be, cbe = costed(range_query_ball_batch, t, ctr, rad, engine=eng)
+            be, cbe = costed_on(eng, range_query_ball_batch, t, ctr, rad)
             assert all(np.array_equal(a, b) for a, b in zip(bd, be))
             assert_same_cost(cbe, cbd, f"ball m={m} vs {eng}")
 
@@ -327,7 +337,7 @@ class TestSizeRule:
                                              np.nextafter(kth, np.inf)])
         (dd, idd), cd = costed(b.knn, qs, k, bound=bound)
         for eng in ENGINES:
-            (de, ie), ce = costed(b.knn, qs, k, engine=eng, bound=bound)
+            (de, ie), ce = costed_on(eng, b.knn, qs, k, bound=bound)
             assert np.array_equal(dd, de) and np.array_equal(idd, ie)
             assert_same_cost(ce, cd, f"bdl bound m={m} vs {eng}")
         # brute-force oracle: the k nearest strictly inside each bound
@@ -382,65 +392,35 @@ class TestBatchBuffers:
 
 
 # ----------------------------------------------------------------------
-# construction engines (repro.kdtree.build)
+# construction (repro.kdtree.build) vs the per-node recursion
 # ----------------------------------------------------------------------
-_TREE_FIELDS = (
-    "used", "is_leaf", "split_dim", "split_val", "left", "right",
-    "start", "end", "live", "perm", "box_lo", "box_hi", "gids",
-)
-
-
-def assert_same_tree(tr, tb, label=""):
-    for f in _TREE_FIELDS:
-        a, b = getattr(tr, f), getattr(tb, f)
-        assert np.array_equal(a, b), f"{label} field {f} differs"
-    assert tr.levels == tb.levels
-
-
 class TestBuildEngineSelection:
-    def test_default_is_batched(self):
-        assert default_build_engine() == "batched"
-        assert resolve_build_engine(None) == "batched"
-        assert BUILD_ENGINES == ("batched", "recursive")
+    def test_default_is_batched(self, rng, monkeypatch):
+        # the split rule picks the builder: object median builds
+        # level-at-a-time, spatial median by the recursion
+        import repro.kdtree.tree as T
 
-    def test_resolve_explicit(self):
-        assert resolve_build_engine("recursive") == "recursive"
-        assert resolve_build_engine("batched") == "batched"
-
-    def test_bad_env_default_rejected(self):
-        import repro.kdtree.build as B
-
-        old = B._default_build_engine
-        B._default_build_engine = "warp"
-        try:
-            with pytest.raises(ValueError, match="REPRO_BUILD_ENGINE"):
-                resolve_build_engine(None)
-        finally:
-            B._default_build_engine = old
+        calls = []
+        real = T.build_batched
+        monkeypatch.setattr(T, "build_batched", lambda t: calls.append(t) or real(t))
+        t = KDTree(rng.uniform(size=(64, 2)))
+        assert calls == [t]
+        KDTree(rng.uniform(size=(64, 2)), split=SPATIAL_MEDIAN)
+        assert calls == [t]
 
     def test_unknown_engine_rejected(self, rng):
-        with pytest.raises(ValueError):
-            resolve_build_engine("vectorized")
-        with pytest.raises(ValueError):
-            set_default_build_engine("gpu")
-        with pytest.raises(ValueError):
-            KDTree(rng.uniform(size=(16, 2)), engine="nope")
-
-    def test_set_default_round_trip(self, rng):
-        set_default_build_engine("recursive")
-        try:
-            assert resolve_build_engine(None) == "recursive"
-            assert KDTree(rng.uniform(size=(8, 2))).build_engine == "recursive"
-        finally:
-            set_default_build_engine("batched")
+        # no build override is left to misspell
+        with pytest.raises(TypeError):
+            KDTree(rng.uniform(size=(16, 2)), engine="recursive")
+        with pytest.raises(TypeError):
+            BDLTree(2, build_engine="recursive")
 
     def test_spatial_median_always_valid(self, rng):
-        # spatial-median structure is data-dependent; both engine names
-        # accept it (batched falls back to the recursive path) and the
-        # resulting trees are identical
+        # spatial-median structure is data-dependent: the recursion is
+        # its only builder, so a rebuild reproduces the tree exactly
         pts = rng.uniform(0, 10, size=(300, 3))
-        tb = KDTree(pts, split=SPATIAL_MEDIAN, engine="batched")
-        tr = KDTree(pts, split=SPATIAL_MEDIAN, engine="recursive")
+        tb = KDTree(pts, split=SPATIAL_MEDIAN)
+        tr = rebuild_recursive(KDTree(pts, split=SPATIAL_MEDIAN))
         assert_same_tree(tr, tb, "spatial")
         tb.check_invariants()
 
@@ -451,8 +431,8 @@ class TestBuildEngineEquivalence:
     def test_node_arrays_and_charges_match(self, dim, leaf_size, rng):
         for n in (1, 2, 3, 17, 100, 1000):
             pts = rng.uniform(0, 100, size=(n, dim))
-            tr, cr = costed(KDTree, pts, leaf_size=leaf_size, engine="recursive")
-            tb, cb = costed(KDTree, pts, leaf_size=leaf_size, engine="batched")
+            tr, cr = costed(recursive_kdtree, pts, leaf_size=leaf_size)
+            tb, cb = costed(KDTree, pts, leaf_size=leaf_size)
             label = f"build n={n} d={dim} ls={leaf_size}"
             assert_same_tree(tr, tb, label)
             # the batched engine replays the recursion's accounting in
@@ -464,56 +444,58 @@ class TestBuildEngineEquivalence:
     def test_above_parallel_cutoff(self, rng):
         # n > _SEQ_CUTOFF exercises the parallel_do cost composition
         pts = rng.uniform(0, 100, size=(6000, 2))
-        tr, cr = costed(KDTree, pts, engine="recursive")
-        tb, cb = costed(KDTree, pts, engine="batched")
+        tr, cr = costed(recursive_kdtree, pts)
+        tb, cb = costed(KDTree, pts)
         assert_same_tree(tr, tb, "n=6000")
         assert cr.work == cb.work and cr.depth == cb.depth
 
     def test_duplicate_heavy_coordinates(self, rng):
         # argpartition tie-breaking must match the 1-D per-node call
         pts = rng.integers(0, 4, size=(2000, 2)).astype(np.float64)
-        tr = KDTree(pts, engine="recursive")
-        tb = KDTree(pts, engine="batched")
+        tr = recursive_kdtree(pts)
+        tb = KDTree(pts)
         assert_same_tree(tr, tb, "duplicates")
 
     def test_custom_gids_preserved(self, rng):
         pts = rng.uniform(size=(200, 3))
         gids = rng.permutation(10_000)[:200].astype(np.int64)
-        tr = KDTree(pts, gids=gids.copy(), engine="recursive")
-        tb = KDTree(pts, gids=gids.copy(), engine="batched")
+        tr = recursive_kdtree(pts, gids=gids.copy())
+        tb = KDTree(pts, gids=gids.copy())
         assert_same_tree(tr, tb, "gids")
 
     def test_queries_identical_after_build(self, rng):
         pts = rng.uniform(0, 10, size=(1500, 3))
         qs = rng.uniform(0, 10, size=(200, 3))
-        tr = KDTree(pts, engine="recursive")
-        tb = KDTree(pts, engine="batched")
-        for qengine in ("recursive", "batched"):
-            d1, i1 = tr.knn(qs, 5, engine=qengine)
-            d2, i2 = tb.knn(qs, 5, engine=qengine)
+        tr = recursive_kdtree(pts)
+        tb = KDTree(pts)
+        for qengine in ENGINES:
+            with forced_engine(qengine):
+                d1, i1 = tr.knn(qs, 5)
+                d2, i2 = tb.knn(qs, 5)
             assert np.array_equal(d1, d2) and np.array_equal(i1, i2)
 
     def test_erase_then_equal(self, rng):
         pts = rng.uniform(0, 10, size=(800, 2))
-        tr = KDTree(pts.copy(), engine="recursive")
-        tb = KDTree(pts.copy(), engine="batched")
+        tr = recursive_kdtree(pts.copy())
+        tb = KDTree(pts.copy())
         assert tr.erase(pts[::3]) == tb.erase(pts[::3])
         assert np.array_equal(tr.alive, tb.alive)
         assert np.array_equal(tr.live, tb.live)
 
     def test_bdl_rebuilds_through_engine(self, rng):
         # every unit conversion / under-half reinsert rebuild goes
-        # through the configured engine and lands on identical trees
+        # through the batched build and lands on the recursion's trees
         pts = rng.uniform(0, 10, size=(1500, 3))
         trees = {}
         costs = {}
-        for eng in BUILD_ENGINES:
+        for eng in ("recursive", "batched"):
             tracker.reset()
-            b = BDLTree(3, buffer_size=128, build_engine=eng)
-            for i in range(0, 1500, 300):
-                b.insert(pts[i : i + 300])
-            b.erase(pts[50:400])
-            b.insert(pts[50:200])
+            with recursive_builds() if eng == "recursive" else nullcontext():
+                b = BDLTree(3, buffer_size=128)
+                for i in range(0, 1500, 300):
+                    b.insert(pts[i : i + 300])
+                b.erase(pts[50:400])
+                b.insert(pts[50:200])
             costs[eng] = tracker.reset()
             trees[eng] = b
         br, bb = trees["recursive"], trees["batched"]
@@ -555,16 +537,16 @@ class TestEngineProperties:
         if delete and len(pts) > 10:
             t.erase(pts[:: max(2, len(pts) // 5)])
 
-        (dr, ir), cr = costed(knn, t, qs, k, engine="recursive")
-        (db, ib), cb = costed(knn, t, qs, k, engine="batched")
+        (dr, ir), cr = costed_on("recursive", knn, t, qs, k)
+        (db, ib), cb = costed_on("batched", knn, t, qs, k)
         assert np.array_equal(dr, db)
         assert np.array_equal(ir, ib)
         assert_same_cost(cr, cb, "prop knn")
 
         lo = np.minimum(qs[: len(qs) // 2 + 1], pts.min(axis=0))
         hi = lo + np.abs(data.draw(_points(dim, 1, 1))[0])
-        rr, crr = costed(range_query_batch, t, lo, np.maximum(lo, hi), engine="recursive")
-        rb, crb = costed(range_query_batch, t, lo, np.maximum(lo, hi), engine="batched")
+        rr, crr = costed_on("recursive", range_query_batch, t, lo, np.maximum(lo, hi))
+        rb, crb = costed_on("batched", range_query_batch, t, lo, np.maximum(lo, hi))
         for a, b in zip(rr, rb):
             assert np.array_equal(a, b)
         assert_same_cost(crr, crb, "prop range")
@@ -574,7 +556,7 @@ class TestEngineProperties:
     def test_build_engine_equivalence(self, data, dim):
         pts = data.draw(_points(dim, 1, 120))
         leaf_size = data.draw(st.integers(1, 8))
-        tr, cr = costed(KDTree, pts.copy(), leaf_size=leaf_size, engine="recursive")
-        tb, cb = costed(KDTree, pts.copy(), leaf_size=leaf_size, engine="batched")
+        tr, cr = costed(recursive_kdtree, pts.copy(), leaf_size=leaf_size)
+        tb, cb = costed(KDTree, pts.copy(), leaf_size=leaf_size)
         assert_same_tree(tr, tb, "prop build")
         assert cr.work == cb.work and cr.depth == cb.depth

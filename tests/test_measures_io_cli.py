@@ -18,6 +18,8 @@ from repro.hull import (
     quickhull2d_seq,
 )
 
+from ._engines import forced_engine
+
 
 class TestMeasures:
     def test_polygon_area_unit_square(self):
@@ -117,10 +119,14 @@ class TestCLI:
         self._run("generate", "2D-U-300", "-o", f)
         batched = str(tmp_path / "nn_batched.csv")
         recursive = str(tmp_path / "nn_recursive.csv")
-        assert self._run("knn", f, "-k", "4", "--engine", "batched", "-o", batched) == 0
-        assert self._run("knn", f, "-k", "4", "--engine", "recursive", "-o", recursive) == 0
-        out = capsys.readouterr().out
-        assert "batched engine" in out and "recursive engine" in out
+        # the size rule picks the engine; forcing each one in-process
+        # must write the same file
+        with forced_engine("batched"):
+            assert self._run("knn", f, "-k", "4", "-o", batched) == 0
+        with forced_engine("recursive"):
+            assert self._run("knn", f, "-k", "4", "-o", recursive) == 0
+        with pytest.raises(SystemExit):
+            self._run("knn", f, "--engine", "batched")
         a = np.loadtxt(batched, delimiter=",")
         b = np.loadtxt(recursive, delimiter=",")
         assert a.shape == (300, 4)

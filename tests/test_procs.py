@@ -8,6 +8,7 @@ segment survives pool shutdown.
 
 import glob
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from repro.kdtree.tree import KDTree
 from repro.parlay.procpool import ProcPool
 from repro.parlay.scheduler import use_backend
 from repro.parlay.workdepth import tracker
+
+from ._build_reference import assert_same_tree, recursive_builds
+from ._engines import ENGINES, forced_engine
 
 BACKENDS = ("sequential", "threads", "processes")
 
@@ -48,9 +52,10 @@ class TestFlatTree:
         att = attach_tree(spec, buf)
 
         qs = rng.normal(size=(60, 3))
-        for engine in ("batched", "recursive"):
-            d1, g1 = tree.knn(qs, 4, engine=engine)
-            d2, g2 = att.knn(qs, 4, engine=engine)
+        for engine in ENGINES:
+            with forced_engine(engine):
+                d1, g1 = tree.knn(qs, 4)
+                d2, g2 = att.knn(qs, 4)
             assert np.array_equal(d1, d2) and np.array_equal(g1, g2)
 
     def test_attached_views_are_read_only(self, rng):
@@ -76,8 +81,8 @@ class TestFlatTree:
             shm, att = attach_snapshot(spec)
             try:
                 qs = rng.normal(size=(40, 2))
-                d1, g1 = bdl.knn(qs, 3, engine="batched")
-                d2, g2 = att.knn(qs, 3, engine="batched")
+                d1, g1 = bdl.knn(qs, 3)
+                d2, g2 = att.knn(qs, 3)
                 assert np.array_equal(d1, d2) and np.array_equal(g1, g2)
                 b1 = bdl.range_query_ball_batch(qs[:10], 0.4)
                 b2 = att.range_query_ball_batch(qs[:10], 0.4)
@@ -174,7 +179,7 @@ class TestProcPool:
 def _run_workload(index, qs, k):
     """The scatter-gather mix; returns results + the charged cost."""
     tracker.reset()
-    d2, gid = index.knn(qs, k, exclude_self=False, engine="batched")
+    d2, gid = index.knn(qs, k, exclude_self=False)
     balls = index.range_query_ball_batch(qs[: len(qs) // 2], 0.5)
     boxes = index.range_query_box_batch(qs[:10] - 0.3, qs[:10] + 0.3)
     return d2, gid, balls, boxes, tracker.reset()
@@ -225,7 +230,7 @@ class TestCrossBackendEquivalence:
         for backend in BACKENDS:
             with use_backend(backend, 4):
                 tracker.reset()
-                d2, gid = tree.knn(qs, k, engine="batched")
+                d2, gid = tree.knn(qs, k)
                 results[backend] = (d2, gid, tracker.reset())
         for backend in ("threads", "processes"):
             d2a, ga, ca = results["sequential"]
@@ -270,49 +275,42 @@ class TestCrossBackendEquivalence:
 
 
 # ----------------------------------------------------------------------
-# construction engines across backends
+# construction across backends, against the per-node recursion
 # ----------------------------------------------------------------------
-_TREE_FIELDS = (
-    "used", "is_leaf", "split_dim", "split_val", "left", "right",
-    "start", "end", "live", "perm", "box_lo", "box_hi", "gids",
-)
-
-
-def _assert_same_tree(ta, tb, label=""):
-    for f in _TREE_FIELDS:
-        assert np.array_equal(getattr(ta, f), getattr(tb, f)), \
-            f"{label} field {f} differs"
+def _builds(engine):
+    """The recursion oracle for ``"recursive"``, else the batched build."""
+    return recursive_builds() if engine == "recursive" else nullcontext()
 
 
 class TestBuildEngineAcrossBackends:
     def test_kdtree_build_identical_on_every_backend(self):
-        """Both engines, all backends: one bitwise-identical tree and
+        """Both builders, all backends: one bitwise-identical tree and
         one identical cost — construction forks above the grain cutoff,
         so n must exceed it to exercise the parallel composition."""
         pts = _points(6000, 3, seed=11)
         built = {}
         for backend in BACKENDS:
             for engine in ("recursive", "batched"):
-                with use_backend(backend, 4):
+                with use_backend(backend, 4), _builds(engine):
                     tracker.reset()
-                    t = KDTree(pts.copy(), engine=engine)
+                    t = KDTree(pts.copy())
                     built[backend, engine] = (t, tracker.reset())
         ref_t, ref_c = built["sequential", "recursive"]
         for key, (t, c) in built.items():
-            _assert_same_tree(ref_t, t, str(key))
+            assert_same_tree(ref_t, t, str(key))
             assert c.work == ref_c.work, key
             assert np.isclose(c.depth, ref_c.depth, rtol=1e-9), key
 
     def test_bdl_insert_erase_rebuilds_across_backends(self):
         """The log-structure's rebuild cascade (unit conversions plus
         under-half-capacity reinserts) lands on the same static trees
-        for every (engine, backend) combination."""
+        for every (builder, backend) combination."""
         pts = _points(2000, 2, seed=23)
         outcomes = {}
         for backend in BACKENDS:
             for engine in ("recursive", "batched"):
-                with use_backend(backend, 2):
-                    b = BDLTree(2, buffer_size=256, build_engine=engine)
+                with use_backend(backend, 2), _builds(engine):
+                    b = BDLTree(2, buffer_size=256)
                     for i in range(0, 2000, 500):
                         b.insert(pts[i : i + 500])
                     b.erase(pts[::3])
@@ -320,15 +318,15 @@ class TestBuildEngineAcrossBackends:
                     outcomes[backend, engine] = b
         ref = outcomes["sequential", "recursive"]
         qs = _points(60, 2, seed=24)
-        dr, gr = ref.knn(qs, 4, engine="batched")
+        dr, gr = ref.knn(qs, 4)
         for key, b in outcomes.items():
             assert b.bitmask == ref.bitmask, key
             for ta, tb in zip(ref.trees, b.trees):
                 assert (ta is None) == (tb is None)
                 if ta is not None:
-                    _assert_same_tree(ta, tb, str(key))
+                    assert_same_tree(ta, tb, str(key))
                     assert np.array_equal(ta.alive, tb.alive)
-            d2, g2 = b.knn(qs, 4, engine="batched")
+            d2, g2 = b.knn(qs, 4)
             assert np.array_equal(dr, d2) and np.array_equal(gr, g2)
 
 
@@ -344,7 +342,7 @@ class TestWorkerSpans:
         try:
             with use_backend("processes", 2) as sched:
                 with trace("run") as rec:
-                    idx.knn(rng.normal(size=(50, 2)), 3, engine="batched")
+                    idx.knn(rng.normal(size=(50, 2)), 3)
                 worker_pids = set(sched.proc_pool().pids())
             spans = rec.spans()
             tagged = {s.meta["pid"] for s in spans
@@ -365,7 +363,7 @@ class TestWorkerSpans:
         try:
             with use_backend("processes", 2):
                 assert active_recorder() is None
-                idx.knn(rng.normal(size=(20, 2)), 3, engine="batched")
+                idx.knn(rng.normal(size=(20, 2)), 3)
                 assert active_recorder() is None
         finally:
             idx.close()
@@ -378,7 +376,7 @@ class TestWorkerSpans:
         try:
             with use_backend("processes", 2):
                 with trace("run") as rec:
-                    idx.knn(rng.normal(size=(30, 2)), 3, engine="batched")
+                    idx.knn(rng.normal(size=(30, 2)), 3)
             obj = chrome_trace(rec.spans(), workers=4)
             assert validate_chrome_trace(obj) == []
             lanes = [e["args"]["name"] for e in obj["traceEvents"]
@@ -399,7 +397,7 @@ class TestSharedMemoryLifecycle:
         qs = rng.normal(size=(30, 2))
         try:
             with use_backend("processes", 2):
-                idx.knn(qs, 3, engine="batched")
+                idx.knn(qs, 3)
                 assert len(_shm_segments() - before) >= 1
             # use_backend exit shuts the scheduler down -> the shutdown
             # hook releases every snapshot
@@ -411,7 +409,7 @@ class TestSharedMemoryLifecycle:
         before = _shm_segments()
         idx = ShardedIndex(rng.normal(size=(500, 2)), 3)
         with use_backend("processes", 2):
-            idx.knn(rng.normal(size=(20, 2)), 3, engine="batched")
+            idx.knn(rng.normal(size=(20, 2)), 3)
             idx.close()
             assert _shm_segments() - before == set()
 
@@ -429,9 +427,9 @@ class TestSharedMemoryLifecycle:
             "rng = np.random.default_rng(0)\n"
             "idx = ShardedIndex(rng.normal(size=(600, 2)), 3)\n"
             "with use_backend('processes', 2):\n"
-            "    idx.knn(rng.normal(size=(40, 2)), 3, engine='batched')\n"
+            "    idx.knn(rng.normal(size=(40, 2)), 3)\n"
             "    idx.insert(rng.normal(size=(100, 2)))\n"
-            "    idx.knn(rng.normal(size=(40, 2)), 3, engine='batched')\n"
+            "    idx.knn(rng.normal(size=(40, 2)), 3)\n"
         )
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.bdl import BDLTree
 from repro.cluster import ShardedIndex
@@ -34,6 +35,8 @@ from repro.serve import (
     zipf_trace,
 )
 from repro.serve.cache import MISS
+
+from ._engines import forced_engine
 
 
 def _pts(n=200, d=2, seed=0):
@@ -71,7 +74,8 @@ class TestIdentity:
         svc = _service(tree)
         qs = pts[:25] + 0.001
         got, _ = _execute(svc, [Request("knn", q, {"k": 5}) for q in qs])
-        dr, ir = knn(tree, qs, 5, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = knn(tree, qs, 5)
         for j, (d, i) in enumerate(got):
             assert np.array_equal(d, dr[j])
             assert np.array_equal(i, ir[j])
@@ -83,7 +87,8 @@ class TestIdentity:
         svc = _service(bdl)
         qs = pts[:20]
         got, _ = _execute(svc, [Request("knn", q, {"k": 4}) for q in qs])
-        dr, ir = bdl.knn(qs, 4, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = bdl.knn(qs, 4)
         for j, (d, i) in enumerate(got):
             assert np.array_equal(d, dr[j]) and np.array_equal(i, ir[j])
 
@@ -113,12 +118,14 @@ class TestIdentity:
             assert np.array_equal(got_box, want_box)
             assert np.array_equal(got_ball, want_ball)
 
-    def test_allnn_matches_recursive(self):
+    def test_allnn_matches_scipy(self):
         pts = _pts(150, seed=2)
         svc = _service(KDTree(pts))
         d, i = svc.allnn("data")
-        dr, ir = all_nearest_neighbors(pts, engine="recursive")
-        assert np.allclose(d, dr) and np.array_equal(i, ir)
+        dr, ir = all_nearest_neighbors(pts)
+        assert np.array_equal(d, dr) and np.array_equal(i, ir)
+        want_d, want_i = cKDTree(pts).query(pts, k=2)
+        assert np.allclose(d, want_d[:, 1]) and np.array_equal(i, want_i[:, 1])
 
     def test_exclude_self_param_distinguished(self):
         pts = _pts(100, seed=3)
@@ -204,7 +211,8 @@ class TestCache:
         assert bdl.version == v0 + 1
         ((d, i),), (m,) = _execute(svc, [Request("knn", q, {"k": 3})])
         assert not m.cache_hit  # old cache entry unreachable under new version
-        dr, ir = bdl.knn(q[None, :], 3, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = bdl.knn(q[None, :], 3)
         assert np.array_equal(d, dr[0]) and np.array_equal(i, ir[0])
 
     def test_erase_bumps_kdtree_version(self):
@@ -228,7 +236,8 @@ class TestCache:
         da, ia = svc.knn("data", pts_a[0], 3)
         svc.register("data", KDTree(pts_b))  # same name, same version=0
         db, ib = svc.knn("data", pts_a[0], 3)
-        want_d, want_i = knn(KDTree(pts_b), pts_a[0][None, :], 3, engine="recursive")
+        with forced_engine("recursive"):
+            want_d, want_i = knn(KDTree(pts_b), pts_a[0][None, :], 3)
         assert np.array_equal(db, want_d[0]) and np.array_equal(ib, want_i[0])
 
     def test_lru_eviction_bounded(self):
@@ -356,7 +365,8 @@ class TestExecute:
         outs = svc.execute("data", reqs)
         assert isinstance(outs[2].error, ValueError)
         assert "k must be >= 1" in str(outs[2].error)
-        dr, ir = index.knn(pts[:5], 4, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = index.knn(pts[:5], 4)
         good = [o for j, o in enumerate(outs) if j != 2]
         for j, o in enumerate(good):
             assert o.error is None
@@ -378,7 +388,8 @@ class TestExecute:
         ])
         assert isinstance(outs[1].error, ValueError)
         assert outs[3].error is outs[1].error
-        dr, ir = bdl.knn(pts[:2], 3, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = bdl.knn(pts[:2], 3)
         for o, d, i in ((outs[0], dr[0], ir[0]), (outs[2], dr[1], ir[1])):
             assert o.error is None
             assert np.array_equal(o.value[0], d) and np.array_equal(o.value[1], i)
@@ -439,7 +450,8 @@ class TestDispatcher:
     def test_concurrent_clients_identical_results(self):
         pts = _pts(300, seed=15)
         tree = KDTree(pts)
-        dr, ir = knn(tree, pts[:40], 3, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = knn(tree, pts[:40], 3)
         svc = _service(tree)
         errors = []
 
@@ -552,7 +564,8 @@ def test_cache_never_stale_under_interleaved_mutations(ops, seed):
         q = queries[x % len(queries)]
         k = min(3, len(bdl))
         d, i = svc.knn("data", q, k)
-        dr, ir = bdl.knn(q[None, :], k, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = bdl.knn(q[None, :], k)
         assert np.array_equal(d, dr[0]), "stale cached distances"
         assert np.array_equal(i, ir[0]), "stale cached neighbors"
 
@@ -595,7 +608,8 @@ def test_cache_never_stale_with_sharded_index(ops, seed):
         q = queries[x % len(queries)]
         k = min(3, len(idx))
         d, i = svc.knn("data", q, k)
-        dr, ir = idx.knn(q[None, :], k, engine="recursive")
+        with forced_engine("recursive"):
+            dr, ir = idx.knn(q[None, :], k)
         assert np.array_equal(d, dr[0]), "stale cached distances"
         assert np.array_equal(i, ir[0]), "stale cached neighbors"
 
