@@ -69,7 +69,7 @@ from ..obs.rtrace import (
     PHASES,
     FlightRecorder,
     RequestTrace,
-    make_context,
+    new_trace_id,
 )
 from ..obs.slo import Objective, SLOTracker
 from ..serve.service import KINDS, GeometryService, Outcome
@@ -102,6 +102,9 @@ class Reply:
     the degradation label: True if and only if the answer came from the
     home-shard-only path under overload — approximate replies are never
     returned unlabelled, and exact replies never carry the flag.
+    ``trace`` is the request's closed
+    :class:`~repro.obs.rtrace.RequestTrace` (trace id, phases summing
+    to its latency, work share), or None with request tracing off.
     """
 
     value: object
@@ -110,16 +113,15 @@ class Reply:
     kind: str
     queue_wait: float = 0.0
     cache_hit: bool = False
-    trace_id: str | None = None          #: request-tracing id (rtrace on)
-    phases: dict | None = None           #: phase breakdown, sums to latency
+    trace: RequestTrace | None = None
 
 
 class _Request:
     __slots__ = ("kind", "payload", "kw", "future", "enqueued_at", "deadline",
-                 "degraded", "ctx")
+                 "degraded", "trace")
 
     def __init__(self, kind, payload, kw, future, enqueued_at, deadline,
-                 degraded, ctx=None):
+                 degraded, trace=None):
         self.kind = kind
         self.payload = payload
         self.kw = kw
@@ -127,7 +129,7 @@ class _Request:
         self.enqueued_at = enqueued_at
         self.deadline = deadline
         self.degraded = degraded
-        self.ctx = ctx
+        self.trace = trace
 
 
 @dataclass
@@ -178,14 +180,14 @@ class Frontend:
     clock:
         Injectable monotonic clock (tests drive quotas deterministically).
     rtrace:
-        Request tracing: mint a :class:`~repro.obs.rtrace.RequestContext`
-        per request, decompose every answer into phases (queue_wait /
-        dispatch / compute / merge / cache — they sum to the measured
-        latency), feed the always-on tail-sampling flight recorder and
-        the per-tenant SLO tracker, and publish phase histograms with
-        exemplar trace ids.  On by default; ``rtrace=False`` is the
-        zero-overhead baseline the ``BENCH_rtrace.json`` gate compares
-        against.
+        Request tracing: mint one :class:`~repro.obs.rtrace.RequestTrace`
+        per request, decompose every answer into the six phases
+        (queue_wait / dispatch / compute / view_repair / merge / cache
+        — they sum to the measured latency), feed the always-on
+        tail-sampling flight recorder and the per-tenant SLO tracker,
+        and publish phase histograms with exemplar trace ids.  On by
+        default; ``rtrace=False`` is the zero-overhead baseline the
+        ``BENCH_rtrace.json`` gate compares against.
     flight / slo:
         Inject a pre-built :class:`~repro.obs.rtrace.FlightRecorder` /
         :class:`~repro.obs.slo.SLOTracker` (tests use tiny capacities
@@ -460,21 +462,6 @@ class Frontend:
     # ------------------------------------------------------------------
     # admission + enqueue
     # ------------------------------------------------------------------
-    def _record_dropped(self, ctx, outcome: str, error=None) -> None:
-        """Flight-record + SLO-score a request that never got an answer."""
-        if ctx is None or self.flight is None:
-            return
-        latency = self._clock() - ctx.t_start
-        phases = {"queue_wait": latency} if outcome in ("shed", "timeout") else {}
-        self.flight.observe(RequestTrace(
-            trace_id=ctx.trace_id, tenant=ctx.tenant, kind=ctx.kind,
-            t_start=ctx.t_start, latency=latency,
-            phases=phases, outcome=outcome,
-            error=repr(error) if error is not None else None,
-        ))
-        if self.slo is not None:
-            self.slo.record(ctx.tenant, latency=None)
-
     @staticmethod
     def _phase_split(latency, queue_wait, compute, merge, cache,
                      view_repair=0.0) -> dict:
@@ -500,55 +487,50 @@ class Frontend:
                 "compute": compute, "view_repair": view_repair,
                 "merge": merge, "cache": cache}
 
-    def _observe_ok(self, t, r, t0, *, m=None, hit=False, approximate=False,
-                    compute=None, view_repair=0.0):
-        """Phase-decompose and record one *answered* request.
+    def _finish(self, t, trt, outcome="ok", *, queue_wait=0.0, compute=None,
+                view_repair=0.0, approximate=False, error=None):
+        """Close one request's record and score it; returns the record.
 
-        Returns ``(trace_id, phases)`` for the Reply, or ``(None,
-        None)`` with request tracing off.  ``compute`` overrides the
-        attributed compute seconds (the degraded path passes its own
-        group wall share); otherwise it is the request's exact work
-        share of the batch (``m.work / m.batch_work``) applied to the
-        batch's execution wall.
+        Sets ``latency``, ``outcome`` and ``error``.  An ``ok`` request's
+        phases close over its ``queue_wait``, the ``compute`` / ``merge``
+        seconds the service wrote (``compute`` overrides them on the
+        degraded and mutation paths) and a cache hit's post-queue time,
+        with ``dispatch`` the residual (:meth:`_phase_split`); a shed or
+        timed-out request spent its whole latency queued.  The record is
+        offered to the flight recorder and scored in the latency / phase
+        histograms and the SLO tracker.  Returns None with request
+        tracing off (``trt`` is None).
         """
-        if r.ctx is None or self.flight is None:
-            return None, None
-        ctx = r.ctx
-        latency = self._clock() - ctx.t_start
-        qw = min(max(t0 - r.enqueued_at, 0.0), latency)
-        cache = merge = 0.0
+        if trt is None:
+            return None
+        latency = self._clock() - trt.t_start
+        trt.latency = latency
+        trt.outcome = outcome
+        if outcome != "ok":
+            trt.phases = {} if outcome == "error" else {"queue_wait": latency}
+            trt.error = repr(error) if error is not None else None
+            self.flight.observe(trt)
+            self.slo.record(t.name, latency=None)
+            return trt
+        qw = min(max(queue_wait, 0.0), latency)
+        ph = trt.phases
         if compute is None:
-            if hit or m is None:
-                compute = 0.0
-                cache = max(latency - qw, 0.0) if hit else 0.0
-            else:
-                frac = (m.work / m.batch_work if m.batch_work > 0
-                        else (1.0 / m.batch_size if m.batch_size else 0.0))
-                compute = frac * m.exec_wall
-                merge = m.merge_wall
-        phases = self._phase_split(latency, qw, compute, merge, cache,
-                                   view_repair)
-        trt = RequestTrace(
-            trace_id=ctx.trace_id, tenant=ctx.tenant, kind=ctx.kind,
-            t_start=ctx.t_start, latency=latency, phases=phases,
-            outcome="ok", cache_hit=hit, approximate=approximate,
-            batch_size=(m.batch_size if m else 0),
-            work=(m.work if m else 0.0), depth=(m.depth if m else 0.0),
-            batch_sid=(m.batch_sid if m else None),
+            compute = ph.get("compute", 0.0)
+        cache = max(latency - qw, 0.0) if trt.cache_hit else 0.0
+        trt.approximate = approximate
+        trt.phases = ph = self._phase_split(
+            latency, qw, compute, ph.get("merge", 0.0), cache, view_repair
         )
-        reason = self.flight.observe(
-            trt, spans=(m.bundle if m is not None else None)
-        )
+        reason = self.flight.observe(trt)
         # exemplars only for retained traces, so every exemplar in the
         # exposition resolves to a trace the flight recorder can replay
-        ex = {"trace_id": ctx.trace_id} if reason else None
+        ex = {"trace_id": trt.trace_id} if reason else None
         t.m_latency.observe(latency, exemplar=ex)
         m_phase = t.m_phase
         for p in PHASES:
-            m_phase[p].observe(phases[p], exemplar=ex)
-        if self.slo is not None:
-            self.slo.record(t.name, latency=latency)
-        return ctx.trace_id, phases
+            m_phase[p].observe(ph[p], exemplar=ex)
+        self.slo.record(t.name, latency=latency)
+        return trt
 
     async def _submit(self, tenant, kind, payload, kw, timeout) -> Reply:
         if self._closed or self._closing:
@@ -557,7 +539,7 @@ class Frontend:
         if t is None:
             raise UnknownTenant(tenant)
         t.m_requests.inc()
-        ctx = (make_context(tenant, kind, clock=self._clock)
+        trt = (RequestTrace(new_trace_id(), tenant, kind, self._clock())
                if self._rtrace else None)
 
         # per-tenant quota: all-or-nothing token take, exact retry-after
@@ -565,7 +547,7 @@ class Frontend:
         if wait > 0.0:
             t.m_quota.inc()
             t.m_rejected.inc()
-            self._record_dropped(ctx, "shed")
+            self._finish(t, trt, "shed")
             raise QuotaExceeded(tenant, wait)
 
         # depth-driven admission state machine.  In OVERLOADED only the
@@ -577,13 +559,13 @@ class Frontend:
         self._g_state.set(_STATE_CODE[decision.state])
         if not decision.admit and len(t.queue) >= self._fair_share(t):
             t.m_rejected.inc()
-            self._record_dropped(ctx, "shed")
+            self._finish(t, trt, "shed")
             raise Overloaded(
                 decision.depth, self.admission.reject_at, decision.retry_after
             )
         if len(t.queue) >= t.max_depth:
             t.m_rejected.inc()
-            self._record_dropped(ctx, "shed")
+            self._finish(t, trt, "shed")
             raise Overloaded(
                 len(t.queue), t.max_depth, decision.retry_after
                 or self.admission._retry_after(len(t.queue))
@@ -594,7 +576,7 @@ class Frontend:
         now = self._clock()
         req = _Request(kind, payload, kw, loop.create_future(), now,
                        now + timeout if timeout is not None else None,
-                       degraded, ctx)
+                       degraded, trt)
         t.queue.append(req)
         self._sched.arrive(tenant)
         self._ensure_dispatcher(loop)
@@ -605,7 +587,7 @@ class Frontend:
         try:
             return await asyncio.wait_for(req.future, timeout)
         except asyncio.TimeoutError:
-            self._record_dropped(ctx, "timeout")
+            self._finish(t, trt, "timeout")
             raise RequestTimeout(timeout) from None
 
     # ------------------------------------------------------------------
@@ -642,7 +624,7 @@ class Frontend:
                 if req.deadline is not None and t0 > req.deadline:
                     # expired before its quantum was picked: never runs
                     req.future.set_exception(RequestTimeout(t0 - req.enqueued_at))
-                    self._record_dropped(req.ctx, "timeout")
+                    self._finish(t, req.trace, "timeout")
                     continue
                 batch.append(req)
             self._sched.dispatched(name, taken)
@@ -704,19 +686,18 @@ class Frontend:
                 value = target.erase(pts)
         except Exception as exc:
             out[id(r)] = (False, exc)
-            self._record_dropped(r.ctx, "error", error=exc)
+            self._finish(t, r.trace, "error", error=exc)
             return
         wall = self._clock() - a0
         repair = mgr.last_stats["repair_s"] if mgr is not None else 0.0
         t.m_completed.inc()
-        trace_id, phases = self._observe_ok(
-            t, r, t0, compute=max(wall - repair, 0.0), view_repair=repair
-        )
+        qw = t0 - r.enqueued_at
         out[id(r)] = (True, Reply(
             value=(value, int(getattr(t.index, "version", 0))),
-            approximate=False, tenant=t.name, kind=r.kind,
-            queue_wait=t0 - r.enqueued_at,
-            trace_id=trace_id, phases=phases,
+            approximate=False, tenant=t.name, kind=r.kind, queue_wait=qw,
+            trace=self._finish(t, r.trace, queue_wait=qw,
+                               compute=max(wall - repair, 0.0),
+                               view_repair=repair),
         ))
 
     def _run_segment(self, t: _Tenant, batch: list[_Request], t0: float,
@@ -732,17 +713,17 @@ class Frontend:
             for r, o in zip(exact, outcomes):
                 if o.error is not None:
                     out[id(r)] = (False, o.error)
-                    self._record_dropped(r.ctx, "error", error=o.error)
+                    self._finish(t, r.trace, "error", error=o.error)
                     continue
-                m = o.metrics
-                if m.cache_hit:
+                hit = o.trace.cache_hit
+                if hit:
                     t.m_hits.inc()
                 t.m_completed.inc()
-                trace_id, phases = self._observe_ok(t, r, t0, m=m, hit=m.cache_hit)
+                qw = t0 - r.enqueued_at
                 out[id(r)] = (True, Reply(
                     value=o.value, approximate=False, tenant=t.name,
-                    kind=r.kind, queue_wait=t0 - r.enqueued_at,
-                    cache_hit=m.cache_hit, trace_id=trace_id, phases=phases,
+                    kind=r.kind, queue_wait=qw, cache_hit=hit,
+                    trace=self._finish(t, r.trace, queue_wait=qw),
                 ))
 
         if degraded:
@@ -761,20 +742,19 @@ class Frontend:
                 except Exception as exc:
                     for r in reqs:
                         out[id(r)] = (False, exc)
-                        self._record_dropped(r.ctx, "error", error=exc)
+                        self._finish(t, r.trace, "error", error=exc)
                     continue
                 group_share = (self._clock() - t_g0) / len(reqs)
                 for i, r in enumerate(reqs):
                     t.m_degraded.inc()
                     t.m_completed.inc()
-                    trace_id, phases = self._observe_ok(
-                        t, r, t0, approximate=True, compute=group_share
-                    )
+                    qw = t0 - r.enqueued_at
                     out[id(r)] = (True, Reply(
                         value=(d2[i], gid[i]), approximate=True,
-                        tenant=t.name, kind="knn",
-                        queue_wait=t0 - r.enqueued_at,
-                        trace_id=trace_id, phases=phases,
+                        tenant=t.name, kind="knn", queue_wait=qw,
+                        trace=self._finish(t, r.trace, queue_wait=qw,
+                                           compute=group_share,
+                                           approximate=True),
                     ))
 
     # ------------------------------------------------------------------

@@ -85,8 +85,8 @@ class TenantReport:
     throughput: float = 0.0
     #: per-phase latency decomposition (seconds): phase -> {mean, p50, p99}.
     #: Populated only when the front-end runs with request tracing on —
-    #: each completed Reply carries its exact phase split (queue_wait /
-    #: dispatch / compute / merge / cache sum to the request's latency).
+    #: each completed Reply's record carries its exact phase split (the
+    #: six :data:`~repro.obs.rtrace.PHASES` sum to the request's latency).
     phases: dict = field(default_factory=dict)
 
     @property
@@ -229,8 +229,8 @@ async def _issue(frontend, load: TenantLoad, op: dict, rec: _Recorder,
         return
     rec.latencies.append(clock() - t0)
     rec.rep.completed += 1
-    if reply.phases:
-        for ph, v in reply.phases.items():
+    if reply.trace is not None:
+        for ph, v in reply.trace.phases.items():
             rec.phases.setdefault(ph, []).append(v)
     if reply.cache_hit:
         rec.rep.cache_hits += 1

@@ -1,6 +1,6 @@
 """``repro.obs`` — observability over the fork-join runtime.
 
-Three pieces (see DESIGN.md §5):
+Five pieces (see DESIGN.md §5 and §9):
 
 * **Span-tree tracing** (:mod:`repro.obs.span`): scheduler tasks and
   named algorithm phases emit spans — name, parent, wall time, charged
@@ -15,9 +15,10 @@ Three pieces (see DESIGN.md §5):
   text exposition (crash-proof: raising callable gauges are skipped and
   counted, histogram buckets may carry exemplar trace ids); the serving
   layer's stats live on it.
-* **Request tracing** (:mod:`repro.obs.rtrace`): per-request contexts
-  threaded through the serving stack, exact proportional attribution of
-  coalesced-batch work (:func:`partition_work`), a tail-sampling
+* **Request tracing** (:mod:`repro.obs.rtrace`): one record per
+  request (:class:`RequestTrace`) threaded through the serving stack,
+  exact proportional attribution of coalesced-batch work
+  (:func:`partition_work`), a tail-sampling
   :class:`FlightRecorder`, and a Perfetto export of retained requests
   (:func:`flight_chrome_trace`).
 * **SLOs** (:mod:`repro.obs.slo`): per-tenant latency + availability
@@ -61,14 +62,12 @@ from .registry import (
 from .rtrace import (
     PHASES,
     FlightRecorder,
-    RequestContext,
     RequestTrace,
     TailSampler,
     batch_context,
     batch_subtree,
     current_trace_ids,
     flight_chrome_trace,
-    make_context,
     new_trace_id,
     partition_work,
     percentile,
@@ -96,7 +95,6 @@ __all__ = [
     "MetricsRegistry",
     "Objective",
     "PHASES",
-    "RequestContext",
     "RequestTrace",
     "SLOTracker",
     "Span",
@@ -112,7 +110,6 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "flight_chrome_trace",
-    "make_context",
     "new_trace_id",
     "partition_work",
     "percentile",

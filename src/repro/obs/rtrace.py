@@ -1,11 +1,11 @@
-"""Request-scoped tracing: contexts, exact attribution, flight recorder.
+"""Request-scoped tracing: one record per request, flight recorder.
 
 PR 3's span tree sees the *inside* of one fork-join computation; this
 module adds the other half — **per-request attribution** across the
-serving stack.  A :class:`RequestContext` is minted when a request
-enters the front-end and rides it through the weighted-fair queue, the
-service's batch, the scatter-gather slabs, and the worker processes, so
-a p999 outlier can be decomposed into *phases*:
+serving stack.  Each request gets one :class:`RequestTrace`, minted
+when it enters the front end; it rides the request through the
+weighted-fair queue and the service's batch, each layer filling in
+what it knows, so a p999 outlier can be decomposed into *phases*:
 
 ``queue_wait``
     waiting in the tenant's front-end queue for the weighted-fair
@@ -50,7 +50,6 @@ import itertools
 import math
 import os
 import threading
-import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -62,14 +61,12 @@ from .span import Span
 __all__ = [
     "FlightRecorder",
     "PHASES",
-    "RequestContext",
     "RequestTrace",
     "TailSampler",
     "batch_context",
     "batch_subtree",
     "current_trace_ids",
     "flight_chrome_trace",
-    "make_context",
     "new_trace_id",
     "partition_work",
     "percentile",
@@ -154,40 +151,33 @@ def partition_work(total: float, weights) -> list[float]:
 
 
 # ----------------------------------------------------------------------
-# request context + completed request trace
+# the per-request record
 # ----------------------------------------------------------------------
-@dataclass
-class RequestContext:
-    """One in-flight request's identity, minted at the front-end door."""
-
-    trace_id: str
-    tenant: str
-    kind: str
-    t_start: float
-    meta: dict = field(default_factory=dict)
-
-
-def make_context(tenant: str, kind: str, *, clock=time.monotonic) -> RequestContext:
-    return RequestContext(new_trace_id(), tenant, kind, clock())
-
-
-@dataclass
+@dataclass(slots=True)
 class RequestTrace:
-    """One *completed* request: its outcome, phases, and attribution.
+    """One request's record: identity, outcome, phases, and attribution.
+
+    The front end mints it (trace id, tenant, kind, ``t_start``); the
+    service fills in the batch it joined — ``batch_size``,
+    ``cache_hit``, ``work`` (the request's exact share of the batch's
+    charged work, :func:`partition_work`), ``depth``, ``batch_sid`` and
+    the ``compute`` / ``merge`` seconds; the front end closes it with
+    ``latency``, the remaining phases, ``outcome`` and ``error``.  A
+    request served without the front end gets a bare record with no
+    trace id.
 
     ``phases`` maps each name in :data:`PHASES` to seconds; for an
     ``ok`` request they sum to ``latency`` (``dispatch`` is computed as
-    the residual).  ``work`` is the request's exact share of its
-    batch's charged work (:func:`partition_work`); ``spans`` holds the
-    batch's span subtree — populated only when the flight recorder
-    retained the trace (tail / error / shed / degraded).
+    the residual).  ``spans`` holds the batch's span subtree, kept only
+    when the flight recorder retained the trace (tail / error / shed /
+    degraded).
     """
 
-    trace_id: str
-    tenant: str
-    kind: str
-    t_start: float
-    latency: float
+    trace_id: str | None = None
+    tenant: str = ""
+    kind: str = ""
+    t_start: float = 0.0
+    latency: float = 0.0
     phases: dict[str, float] = field(default_factory=dict)
     outcome: str = "ok"            #: "ok" | "error" | "shed" | "timeout"
     cache_hit: bool = False
@@ -355,13 +345,11 @@ class FlightRecorder:
                 labels=("reason",),
             )
 
-    def observe(self, trt: RequestTrace, spans: list[Span] | None = None,
-                ) -> str | None:
+    def observe(self, trt: RequestTrace) -> str | None:
         """Offer one completed request; returns the retention reason.
 
-        ``spans`` is the batch span subtree to attach when retained.
-        Returns ``"error" | "shed" | "degraded" | "tail"`` or None
-        (not retained).
+        Returns ``"error" | "shed" | "degraded" | "tail"`` or None (not
+        retained, and the record's ``spans`` are dropped).
         """
         with self._lock:
             self.seen += 1
@@ -377,9 +365,9 @@ class FlightRecorder:
                     reason = "degraded"
                 elif is_tail:
                     reason = "tail"
-            if reason is not None:
-                if spans is not None and trt.spans is None:
-                    trt.spans = spans
+            if reason is None:
+                trt.spans = None
+            else:
                 self._traces[trt.trace_id] = trt
                 self._traces.move_to_end(trt.trace_id)
                 while len(self._traces) > self.capacity:
@@ -490,12 +478,12 @@ def flight_chrome_trace(traces: list[RequestTrace], *,
     """Retained request traces as one Chrome trace-event JSON timeline.
 
     One shared wall-clock axis: pid 0 holds one lane per retained
-    request with its phase slices (queue_wait / dispatch / compute /
-    merge / cache); pid 1 holds the parent-process batch spans; worker
-    processes (spans tagged with a ``pid`` by
-    :meth:`~repro.obs.span.SpanRecorder.ingest`) get their own process
-    groups — so a single Perfetto view shows the request waiting, the
-    batch it joined, and the worker lanes that computed it.
+    request with its phase slices (the six :data:`PHASES`: queue_wait /
+    dispatch / compute / view_repair / merge / cache); pid 1 holds the
+    parent-process batch spans; worker processes (spans tagged with a
+    ``pid`` by :meth:`~repro.obs.span.SpanRecorder.ingest`) get their
+    own process groups — so a single Perfetto view shows the request
+    waiting, the batch it joined, and the worker lanes that computed it.
     """
     events: list[dict] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",

@@ -29,7 +29,7 @@ from .errors import (
     ServiceClosed,
     UnknownDataset,
 )
-from .metrics import RequestMetrics, ServiceStats
+from .metrics import ServiceStats
 from .service import KINDS, GeometryService, Outcome, Request
 from .trace import (
     ReplayReport,
@@ -51,7 +51,6 @@ __all__ = [
     "Outcome",
     "ReplayReport",
     "Request",
-    "RequestMetrics",
     "RequestTimeout",
     "ResultCache",
     "ServeError",

@@ -1,14 +1,9 @@
-"""Per-request metrics and the service-wide stats snapshot.
+"""The service-wide stats snapshot.
 
-Each request :meth:`~repro.serve.service.GeometryService.execute`
-answers carries a :class:`RequestMetrics` describing what happened to
-that one request: how large a batch it was executed with, whether it
-was served from the cache, and the work/depth cost the batch execution
-charged on its behalf (captured with
-:func:`repro.parlay.workdepth.capture`, so costs on the ``threads``
-backend attribute to the right request stream).  Queueing, admission
-and deadlines belong to the front end, which records them itself.
-
+What happened to one request — the batch it joined, whether the cache
+served it, the work/depth its batch charged on its behalf — lives on
+its own :class:`~repro.obs.rtrace.RequestTrace`, which
+:meth:`~repro.serve.service.GeometryService.execute` fills in.
 :class:`ServiceStats` aggregates the same quantities service-wide on a
 :class:`~repro.obs.registry.MetricsRegistry` -- the unified metrics
 surface -- so the service's request counters and its cache gauges share
@@ -18,48 +13,12 @@ exposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..obs.registry import MetricsRegistry
 
-__all__ = ["RequestMetrics", "ServiceStats"]
+__all__ = ["ServiceStats"]
 
 #: Batch-size histogram buckets (requests per coalesced dispatch).
 BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-
-@dataclass(frozen=True)
-class RequestMetrics:
-    """What happened to one request.
-
-    ``batch_size`` is the number of unique queries executed in the
-    dispatch this request joined (0 when no execution was needed);
-    ``work`` is the request's *exact* share of the batch's charged work
-    — proportional to the work its request group charged, partitioned
-    with :func:`repro.obs.rtrace.partition_work` so member shares sum
-    to the batch total exactly — and ``depth`` is the batch's critical
-    path (shared, not divided).
-
-    The trailing (defaulted) fields carry request-tracing detail:
-    ``exec_wall`` is the wall time of the batch's vectorized execution
-    and ``merge_wall`` the seconds between execution end and this
-    request's answer (cache fills + result distribution);
-    ``batch_work`` is the whole batch's charged work (``work`` divided
-    by it gives this request's compute fraction); ``batch_sid``/
-    ``bundle`` link to the batch's ``serve.dispatch`` span and its
-    completed subtree when tracing was enabled (the bundle list is
-    *shared* by every member request).
-    """
-
-    batch_size: int
-    cache_hit: bool
-    work: float
-    depth: float
-    exec_wall: float = 0.0
-    merge_wall: float = 0.0
-    batch_work: float = 0.0
-    batch_sid: int | None = None
-    bundle: list | None = None
 
 
 class ServiceStats:
@@ -97,23 +56,6 @@ class ServiceStats:
             "serve_work_charged_total", "work-model units charged by dispatches")
         self._depth = r.counter(
             "serve_depth_charged_total", "depth-model units charged by dispatches")
-
-    # -- back-compat attribute reads (the old ints) ------------------------
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_misses.value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
 
     # -- mutators ----------------------------------------------------------
     def record_submit(self, n: int = 1) -> None:

@@ -24,11 +24,12 @@ one dataset and returns one :class:`Outcome` per request.
   shape, ``k < 1``, non-finite coordinates, a NaN radius) or whose
   ``(kind, params)`` group raises in the engine gets its own typed
   error; the rest of the slab is answered.
-* **Per-request metrics** — every answer carries a
-  :class:`~repro.serve.metrics.RequestMetrics` (batch size joined,
-  cache hit, work/depth charged, captured via the thread-local
-  :func:`repro.parlay.workdepth.capture` so concurrent callers on the
-  ``threads`` backend never bleed costs into each other);
+* **Per-request record** — every answer carries the request's
+  :class:`~repro.obs.rtrace.RequestTrace`, filled in place: batch size
+  joined, cache hit, exact work share and depth (captured via the
+  thread-local :func:`repro.parlay.workdepth.capture` so concurrent
+  callers on the ``threads`` backend never bleed costs into each
+  other), and the request's ``compute`` / ``merge`` seconds;
   :meth:`GeometryService.snapshot` aggregates service-wide.
 
 Admission, fair ordering, coalescing across clients and deadlines live
@@ -60,44 +61,49 @@ import numpy as np
 
 from ..kdtree.batch import execute_requests
 from ..obs.registry import MetricsRegistry
-from ..obs.rtrace import batch_context, batch_subtree, partition_work
+from ..obs.rtrace import (
+    RequestTrace,
+    batch_context,
+    batch_subtree,
+    partition_work,
+)
 from ..obs.span import active_recorder
 from ..parlay.workdepth import capture
 from .cache import MISS, ResultCache, make_key, query_digest
 from .errors import ServiceClosed, UnknownDataset
-from .metrics import RequestMetrics, ServiceStats
+from .metrics import ServiceStats
 
 __all__ = ["GeometryService", "KINDS", "Outcome", "Request"]
 
 #: Request kinds the service understands.
 KINDS = ("knn", "box", "ball", "allnn", "view")
 
-#: what a cache hit reports: nothing executed, nothing charged
-_HIT = RequestMetrics(0, True, 0.0, 0.0)
-
-
 class Request(NamedTuple):
     """One query for :meth:`GeometryService.execute`.
 
     ``kw`` holds the kind's parameters (``k`` and ``exclude_self`` for
-    kNN, ``radius`` for a ball); ``ctx`` optionally carries the caller's
-    :class:`~repro.obs.rtrace.RequestContext`, so the batch span links
-    back to the request's trace id.  Any object with these four
-    attributes will do: the front end passes its queued requests as
-    they are.
+    kNN, ``radius`` for a ball); ``trace`` optionally carries the
+    request's :class:`~repro.obs.rtrace.RequestTrace`, which the service
+    fills in and which links the batch span to its trace id.  Any
+    object with these four attributes will do: the front end passes its
+    queued requests as they are.
     """
 
     kind: str
     payload: object = None
     kw: dict = {}
-    ctx: object = None
+    trace: RequestTrace | None = None
 
 
 class Outcome(NamedTuple):
-    """One request's answer and metrics, or the error it alone failed with."""
+    """One request's answer and record, or the error it alone failed with.
+
+    ``trace`` is the request's own record when it came with one, or a
+    bare record (no trace id) the service made for it.
+    """
 
     value: object = None
-    metrics: RequestMetrics | None = None
+    trace: RequestTrace | None = None
     error: BaseException | None = None
 
 
@@ -268,7 +274,7 @@ class GeometryService:
         version = getattr(index, "version", 0)
         slot: dict[tuple, int] = {}
         uniq: list[tuple] = []          # (kind, payload, params) to execute
-        waiting: list[tuple] = []       # (request position, slot, cache key)
+        waiting: list[tuple] = []       # (position, slot, cache key, record)
         invalid = hits = 0
         for i, r in enumerate(requests):
             try:
@@ -277,10 +283,14 @@ class GeometryService:
                 out[i] = Outcome(error=exc)
                 invalid += 1
                 continue
+            trt = r.trace
+            if trt is None:
+                trt = RequestTrace()
             key = make_key(dataset, epoch, version, r.kind, params, digest)
             cached = self._cache.get(key)
             if cached is not MISS:
-                out[i] = Outcome(cached, _HIT)
+                trt.cache_hit = True    # nothing executed, nothing charged
+                out[i] = Outcome(cached, trt)
                 hits += 1
                 continue
             ek = (r.kind, params, digest)
@@ -288,20 +298,19 @@ class GeometryService:
             if j is None:
                 j = slot[ek] = len(uniq)
                 uniq.append((r.kind, payload, dict(params)))
-            waiting.append((i, j, key))
+            waiting.append((i, j, key, trt))
         self.stats.record_submit(n)
         self.stats.record_accept(n - invalid)
         if hits:
             self.stats.record_hit(hits)
         if waiting:
-            self._run(dataset, index, version, requests, uniq, waiting, out)
+            self._run(dataset, index, version, uniq, waiting, out)
         return out
 
-    def _run(self, name, index, version, requests, uniq, waiting, out) -> None:
+    def _run(self, name, index, version, uniq, waiting, out) -> None:
         """Execute the slab's unique misses and answer every waiting request."""
         trace_ids = tuple(
-            requests[i].ctx.trace_id for i, _, _ in waiting
-            if requests[i].ctx is not None
+            trt.trace_id for *_, trt in waiting if trt.trace_id is not None
         )
         attrs = {"links": trace_ids} if trace_ids else {}
         rec = active_recorder()
@@ -339,21 +348,27 @@ class GeometryService:
         # riders, then the batch total is partitioned *exactly* across
         # every answered member proportional to those weights
         mult = [0] * nexec
-        for _, j, _ in answered:
+        for _, j, _, _ in answered:
             mult[j] += 1
         shares = partition_work(
-            cost.work, [weights[j] / mult[j] for _, j, _ in answered]
+            cost.work, [weights[j] / mult[j] for _, j, _, _ in answered]
         )
         cacheable = getattr(index, "version", 0) == version
-        for (i, j, key), share in zip(answered, shares):
+        for (i, j, key, trt), share in zip(answered, shares):
             res = results[j]
             if cacheable:
                 self._cache.put(key, res)
-            out[i] = Outcome(res, RequestMetrics(
-                nexec, False, share, cost.depth,
-                exec_wall=exec_wall, merge_wall=time.monotonic() - t_run1,
-                batch_work=cost.work, batch_sid=batch_sid, bundle=bundle,
-            ))
+            # the request's compute slice is its exact work fraction of
+            # the batch's execution wall; merge runs to its answer
+            frac = share / cost.work if cost.work > 0 else 1.0 / nexec
+            trt.batch_size = nexec
+            trt.work = share
+            trt.depth = cost.depth
+            trt.batch_sid = batch_sid
+            trt.spans = bundle
+            trt.phases["compute"] = frac * exec_wall
+            trt.phases["merge"] = time.monotonic() - t_run1
+            out[i] = Outcome(res, trt)
         executed = sum(1 for m in mult if m)
         self.stats.record_batch(len(answered), executed, cost.work, cost.depth)
 

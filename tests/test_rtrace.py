@@ -25,7 +25,6 @@ from repro.obs.rtrace import (
     batch_subtree,
     current_trace_ids,
     flight_chrome_trace,
-    make_context,
     new_trace_id,
     partition_work,
     percentile,
@@ -416,13 +415,29 @@ class TestFrontendTracing:
                 replies = await asyncio.gather(*[
                     fe.knn("acme", q, 4) for q in qs
                 ])
+                # the same queries again: answered from the cache
+                hits = await asyncio.gather(*[
+                    fe.knn("acme", q, 4) for q in qs
+                ])
             finally:
                 await fe.close()
-            for r in replies:
-                assert r.trace_id is not None
-                assert set(r.phases) == set(PHASES)
-                assert all(v >= 0.0 for v in r.phases.values())
-            return replies
+            for r in replies + hits:
+                trt = r.trace
+                assert trt.trace_id is not None and trt.outcome == "ok"
+                assert trt.cache_hit == r.cache_hit
+                assert set(trt.phases) == set(PHASES)
+                assert all(v >= 0.0 for v in trt.phases.values())
+                # ok phases sum to the record's latency
+                assert validate_request_trace(trt) == []
+                # a retained request's reply holds the recorder's record
+                retained = fe.flight.lookup(trt.trace_id)
+                assert retained is None or retained is trt
+            assert any(fe.flight.lookup(r.trace.trace_id) is r.trace
+                       for r in replies + hits)
+            assert all(r.cache_hit for r in hits)
+            for r in hits:
+                assert r.trace.cache_hit and r.trace.work == 0.0
+                assert r.trace.batch_size == 0
 
         asyncio.run(go())
 
@@ -478,11 +493,17 @@ class TestFrontendTracing:
     def test_rtrace_off_is_silent(self):
         async def go():
             fe = self._frontend(rtrace=False)
+            q = _pts(1)[0]
+            before = int(new_trace_id()[-8:], 16)
             try:
-                r = await fe.knn("acme", _pts(1)[0], 3)
+                r = await fe.knn("acme", q, 3)
+                hit = await fe.knn("acme", q, 3)
             finally:
                 await fe.close()
-            assert r.trace_id is None and r.phases is None
+            # no trace id was minted between the two probes
+            assert int(new_trace_id()[-8:], 16) == before + 1
+            assert r.trace is None and hit.trace is None
+            assert hit.cache_hit and not r.cache_hit
             assert fe.flight is None and fe.slo is None
             assert "frontend_latency_seconds" not in fe.metrics_text()
 
@@ -552,17 +573,22 @@ class TestFrontendTracing:
 # service-layer attribution plumbing
 # ---------------------------------------------------------------------------
 class TestServiceAttribution:
-    def test_metrics_carry_batch_attribution(self):
+    def test_record_carries_batch_attribution(self):
         svc = GeometryService(max_batch=32)
         svc.register("d", KDTree(_pts(300)))
-        ctx = make_context("d", "knn")
-        (o,) = svc.execute(
-            "d", [Request("knn", _pts(1, seed=3)[0], {"k": 3}, ctx)]
-        )
+        q = _pts(1, seed=3)[0]
+        trt = RequestTrace(new_trace_id(), "d", "knn", 0.0)
+        (o,) = svc.execute("d", [Request("knn", q, {"k": 3}, trt)])
         assert o.error is None
-        m = o.metrics
-        assert m.batch_work >= m.work >= 0.0
-        assert m.exec_wall >= 0.0 and m.merge_wall >= 0.0
+        # the service fills the request's own record in place
+        assert o.trace is trt
+        assert trt.batch_size == 1 and not trt.cache_hit
+        assert trt.work > 0.0 and trt.depth > 0.0
+        assert trt.phases["compute"] >= 0.0 and trt.phases["merge"] >= 0.0
+        # a request without a record gets a bare one, with no trace id
+        (o,) = svc.execute("d", [Request("knn", q, {"k": 3})])
+        assert o.trace.trace_id is None
+        assert o.trace.cache_hit and o.trace.work == 0.0
         svc.close()
 
     def test_batch_span_links_member_trace_ids(self):
@@ -571,10 +597,11 @@ class TestServiceAttribution:
         rec = SpanRecorder()
         enable_tracing(rec)
         try:
-            ctxs = [make_context("d", "knn") for _ in range(4)]
+            trts = [RequestTrace(new_trace_id(), "d", "knn", 0.0)
+                    for _ in range(4)]
             outs = svc.execute("d", [
                 Request("knn", q, {"k": 3}, c)
-                for q, c in zip(_pts(4, seed=5), ctxs)
+                for q, c in zip(_pts(4, seed=5), trts)
             ])
             assert all(o.error is None for o in outs)
         finally:
@@ -584,8 +611,8 @@ class TestServiceAttribution:
         assert batch
         links = batch[0].meta.get("links")
         assert links is not None
-        for c in ctxs:
+        for c in trts:
             assert c.trace_id in links
-        # each member got its share; shares re-sum to the batch total
-        ms = [o.metrics for o in outs]
-        assert math.fsum(m.work for m in ms) == ms[0].batch_work
+            assert c.batch_sid == batch[0].sid
+        # each member got its share; shares re-sum to the batch span's work
+        assert math.fsum(o.trace.work for o in outs) == batch[0].work

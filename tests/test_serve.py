@@ -51,11 +51,11 @@ def _service(index, name="data", **kw):
 
 
 def _execute(svc, requests, name="data"):
-    """Answers and metrics of one slab; every request must succeed."""
+    """Answers and records of one slab; every request must succeed."""
     outs = svc.execute(name, requests)
     for o in outs:
         assert o.error is None, o.error
-    return [o.value for o in outs], [o.metrics for o in outs]
+    return [o.value for o in outs], [o.trace for o in outs]
 
 
 def _results_equal(a, b):

@@ -134,3 +134,27 @@ class TestEMST:
         e, w = emst(pts)
         long_edges = w[w > 50]
         assert len(long_edges) == 1  # exactly one bridge
+
+    def test_duplicate_heavy_matches_scipy(self):
+        """Repeated points: zero-length edges join the copies, and the
+        weight equals scipy's MST over the unique points."""
+        from scipy.sparse.csgraph import minimum_spanning_tree
+        from scipy.spatial.distance import pdist, squareform
+
+        g = np.random.default_rng(0)
+        inputs = (
+            g.integers(0, 6, (300, 2)),          # 36 cells, ~8 copies each
+            g.binomial(1024, 0.5, (400, 2)),     # clustered, with repeats
+            g.integers(0, 4, (200, 3)),          # 64 cells in 3D
+        )
+        for raw in inputs:
+            pts = raw.astype(np.float64)
+            uniq = np.unique(pts, axis=0)
+            assert len(uniq) < len(pts)
+            e, w = emst(pts)
+            assert len(e) == len(pts) - 1
+            uf = UnionFind(len(pts))
+            for u, v in e:
+                assert uf.union(int(u), int(v))
+            ref = minimum_spanning_tree(squareform(pdist(uniq))).sum()
+            assert w.sum() == pytest.approx(ref, rel=1e-9)
