@@ -245,43 +245,42 @@ def cmd_serve_replay(args) -> int:
             _attach_views(index, view_names, args)
         return index
 
-    with _use_backend(args):
-        service = GeometryService(
-            max_batch=args.max_batch, cache_capacity=args.cache,
+    service = GeometryService(
+        max_batch=args.max_batch, cache_capacity=args.cache,
+    )
+    service.register("data", build_index())
+    report = replay(service, "data", trace)
+    if args.shards > 0:
+        kind = f"ShardedIndex[{args.shards}]"
+    elif args.dynamic:
+        kind = "BDLTree"
+    else:
+        kind = "KDTree"
+    print(f"serve-replay: {len(coords)} points ({kind}), "
+          f"{len(trace)} requests")
+    print(report.summary())
+    if args.metrics_out:
+        _write_metrics(args.metrics_out, service)
+        print(f"wrote metrics snapshot to {args.metrics_out}")
+    if report.errors:
+        print(
+            f"serve-replay: {report.errors} request(s) failed; "
+            f"first error: {report.first_error}",
+            file=sys.stderr,
         )
-        service.register("data", build_index())
-        report = replay(service, "data", trace)
-        if args.shards > 0:
-            kind = f"ShardedIndex[{args.shards}]"
-        elif args.dynamic:
-            kind = "BDLTree"
-        else:
-            kind = "KDTree"
-        print(f"serve-replay: {len(coords)} points ({kind}), "
-              f"{len(trace)} requests")
-        print(report.summary())
-        if args.metrics_out:
-            _write_metrics(args.metrics_out, service)
-            print(f"wrote metrics snapshot to {args.metrics_out}")
-        if report.errors:
-            print(
-                f"serve-replay: {report.errors} request(s) failed; "
-                f"first error: {report.first_error}",
-                file=sys.stderr,
-            )
-            return 1
+        return 1
 
-        if args.compare:
-            index = build_index()  # fresh index: same state as the service
-            t0 = time.perf_counter()
-            run_unbatched(index, trace,
-                          views=_view_computes(view_names, args) or None)
-            dt = time.perf_counter() - t0
-            ratio = dt / report.seconds if report.seconds > 0 else float("inf")
-            print(
-                f"unbatched loop (one request per call): {dt:.3f}s "
-                f"({len(trace) / dt:,.0f} req/s) -> service is {ratio:.2f}x faster"
-            )
+    if args.compare:
+        index = build_index()  # fresh index: same state as the service
+        t0 = time.perf_counter()
+        run_unbatched(index, trace,
+                      views=_view_computes(view_names, args) or None)
+        dt = time.perf_counter() - t0
+        ratio = dt / report.seconds if report.seconds > 0 else float("inf")
+        print(
+            f"unbatched loop (one request per call): {dt:.3f}s "
+            f"({len(trace) / dt:,.0f} req/s) -> service is {ratio:.2f}x faster"
+        )
     return 0
 
 
@@ -375,28 +374,27 @@ def cmd_stream_bench(args) -> int:
     n_mut = sum(1 for op in trace if op["op"] in ("insert", "erase"))
     n_view = len(trace) - n_mut
 
-    with _use_backend(args):
-        # incremental side: mutations repair the registered views in place
-        mgr = _attach_views(build_index(), view_names, args)
-        t0 = time.perf_counter()
-        inc = []
-        for op in trace:
-            if op["op"] == "insert":
-                mgr.insert(np.asarray(op["pts"], dtype=np.float64))
-                inc.append(None)
-            elif op["op"] == "erase":
-                mgr.erase(np.asarray(op["pts"], dtype=np.float64))
-                inc.append(None)
-            else:
-                inc.append(mgr.get(op["name"]))
-        t_inc = time.perf_counter() - t0
+    # incremental side: mutations repair the registered views in place
+    mgr = _attach_views(build_index(), view_names, args)
+    t0 = time.perf_counter()
+    inc = []
+    for op in trace:
+        if op["op"] == "insert":
+            mgr.insert(np.asarray(op["pts"], dtype=np.float64))
+            inc.append(None)
+        elif op["op"] == "erase":
+            mgr.erase(np.asarray(op["pts"], dtype=np.float64))
+            inc.append(None)
+        else:
+            inc.append(mgr.get(op["name"]))
+    t_inc = time.perf_counter() - t0
 
-        # baseline side: same trace, every view read recomputed from scratch
-        base_index = build_index()
-        t0 = time.perf_counter()
-        base = run_unbatched(base_index, trace,
-                             views=_view_computes(view_names, args))
-        t_base = time.perf_counter() - t0
+    # baseline side: same trace, every view read recomputed from scratch
+    base_index = build_index()
+    t0 = time.perf_counter()
+    base = run_unbatched(base_index, trace,
+                         views=_view_computes(view_names, args))
+    t_base = time.perf_counter() - t0
 
     mismatches = sum(1 for a, b in zip(inc, base) if a != b)
     speedup = t_base / t_inc if t_inc > 0 else float("inf")
@@ -822,7 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also time the one-request-at-a-time recursive loop")
     sr.add_argument("--metrics-out", metavar="PATH",
                     help="write the post-run service metrics snapshot as JSON")
-    _add_backend_arg(sr)
     sr.set_defaults(fn=cmd_serve_replay)
 
     sb = sub.add_parser(
@@ -856,7 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--save-trace", help="also write the trace as JSONL")
     sb.add_argument("--json-out", metavar="PATH",
                     help="write the comparison record as JSON")
-    _add_backend_arg(sb)
     sb.set_defaults(fn=cmd_stream_bench)
 
     cb = sub.add_parser(

@@ -253,25 +253,6 @@ class ShardedIndex:
         for f in touched / S:
             self._m_touched.observe(float(f))
 
-    def _remote(self, kind: str, label: str, args_fn):
-        """Declarative slab descriptor for the ``processes`` backend.
-
-        Returns a ``remote(shard_idx, qidx)`` payload builder for
-        :func:`~repro.cluster.router.scatter` — or None on the other
-        backends, so no snapshot is ever packed unless process dispatch
-        is actually in play.  ``args_fn(s, qidx)`` cuts the slab-local
-        query arrays out of the batch.
-        """
-        if get_scheduler().backend != "processes":
-            return None
-        snaps, shards = self._snaps, self.shards
-
-        def make(s: int, qidx: np.ndarray):
-            return (snaps.spec_for(s, shards[s]), s, kind, label,
-                    args_fn(s, qidx))
-
-        return make
-
     def close(self) -> None:
         """Unlink this index's shared-memory snapshots (idempotent)."""
         self._snaps.release_all()
@@ -307,17 +288,11 @@ class ShardedIndex:
             probe = np.zeros((m, len(self.shards)), dtype=bool)
             probe[np.arange(m), home] = True
 
-            def run_knn(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(qs[qidx], kk, exclude_self=False)
-
             # phase 1: probe each query's home shard for a candidate
             # kk-th distance (inf when the home shard is underfull)
             probe_out = scatter(
-                probe, run_knn, "knn.probe",
-                remote=self._remote(
-                    "knn", "knn.probe",
-                    lambda s, qidx: (qs[qidx], kk, None),
-                ),
+                probe, self.shards, self._snaps, "knn", "knn.probe",
+                lambda qidx: (qs[qidx], kk, None),
             )
             r2 = np.full(m, np.inf)
             parts = []
@@ -336,17 +311,9 @@ class ShardedIndex:
             fan[np.arange(m), home] = False
             cutoff = np.nextafter(r2, np.inf)
 
-            def run_fanout(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, bound=cutoff[qidx]
-                )
-
             for _, qidx, res in scatter(
-                fan, run_fanout, "knn.fanout",
-                remote=self._remote(
-                    "knn", "knn.fanout",
-                    lambda s, qidx: (qs[qidx], kk, cutoff[qidx]),
-                ),
+                fan, self.shards, self._snaps, "knn", "knn.fanout",
+                lambda qidx: (qs[qidx], kk, cutoff[qidx]),
             ):
                 parts.append((qidx, res[0], res[1]))
 
@@ -401,17 +368,11 @@ class ShardedIndex:
             probe[np.arange(m), home] = True
             probe &= self._occupied()[None, :]
 
-            def run_knn(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(qs[qidx], kk, exclude_self=False)
-
             parts = [
                 (qidx, d2, gid)
                 for _, qidx, (d2, gid) in scatter(
-                    probe, run_knn, "knn.home",
-                    remote=self._remote(
-                        "knn", "knn.home",
-                        lambda s, qidx: (qs[qidx], kk, None),
-                    ),
+                    probe, self.shards, self._snaps, "knn", "knn.home",
+                    lambda qidx: (qs[qidx], kk, None),
                 )
             ]
             d2, gid = merge_knn(m, kk, parts)
@@ -438,17 +399,9 @@ class ShardedIndex:
         with span("cluster.box", cat="cluster", batch=m, shards=len(self.shards)):
             lo, hi = self._boxes()
             mask = plan_box(lo, hi, los, his) & self._occupied()[None, :]
-
-            def run(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.range_query_box_batch(
-                    los[qidx], his[qidx]
-                )
-
             out = self._gather_range(m, scatter(
-                mask, run, "box",
-                remote=self._remote(
-                    "box", "box", lambda s, qidx: (los[qidx], his[qidx])
-                ),
+                mask, self.shards, self._snaps, "box", "box",
+                lambda qidx: (los[qidx], his[qidx]),
             ))
             self._observe(mask.sum(axis=1))
         return out
@@ -463,15 +416,9 @@ class ShardedIndex:
         with span("cluster.ball", cat="cluster", batch=m, shards=len(self.shards)):
             lo, hi = self._boxes()
             mask = plan_ball(lo, hi, cs, ball_r2s(rr)) & self._occupied()[None, :]
-
-            def run(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.range_query_ball_batch(cs[qidx], rr[qidx])
-
             out = self._gather_range(m, scatter(
-                mask, run, "ball",
-                remote=self._remote(
-                    "ball", "ball", lambda s, qidx: (cs[qidx], rr[qidx])
-                ),
+                mask, self.shards, self._snaps, "ball", "ball",
+                lambda qidx: (cs[qidx], rr[qidx]),
             ))
             self._observe(mask.sum(axis=1))
         return out

@@ -1,13 +1,15 @@
-"""Worker-process side of cluster scatter-gather.
+"""The shard-slab body of cluster scatter-gather, on every backend.
 
-:func:`run_slab` is the single declarative entry point the ``processes``
-backend dispatches to (``"repro.cluster.procwork:run_slab"``): one
-planned shard's slab of a knn / box / ball batch.  The payload carries
-the shard's shared-memory snapshot spec plus the slab arguments; this
-module keeps a per-process attachment cache keyed by shard slot, so a
-worker pinned to a shard attaches its snapshot once and re-attaches
-only when the segment name changes (i.e. the shard's version bumped or
-a rebalance replaced it).
+:func:`query_slab` runs one planned shard's slab of a knn / box / ball
+batch against a shard tree.  The router calls it inline on the
+``sequential`` and ``threads`` backends; on ``processes`` it ships the
+same slab description to a worker, where :func:`run_slab`
+(``"repro.cluster.procwork:run_slab"``) attaches the shard's
+shared-memory snapshot and calls :func:`query_slab` on it.  This module
+keeps a per-process attachment cache keyed by shard slot, so a worker
+pinned to a shard attaches its snapshot once and re-attaches only when
+the segment name changes (i.e. the shard's version bumped or a
+rebalance replaced it).
 
 Everything here also runs correctly in the parent process — the
 scheduler's inline fallback resolves the same function — because
@@ -19,7 +21,7 @@ from __future__ import annotations
 from ..obs.span import span
 from .snapshot import attach_snapshot
 
-__all__ = ["close_attachments", "run_slab"]
+__all__ = ["close_attachments", "query_slab", "run_slab"]
 
 
 class _Attachment:
@@ -63,25 +65,22 @@ def _attached_tree(slot: int, spec: dict):
     return tree
 
 
-def run_slab(payload):
-    """Execute one shard slab: ``(spec, slot, kind, label, args)``.
+def query_slab(tree, slot: int, kind: str, label: str, args, trace_ids=None):
+    """Run one shard slab on ``tree`` inside a ``cluster.<label>.shard`` span.
 
-    ``kind`` selects the query; ``args`` are the slab-local arrays the
-    parent cut out of the batch (picklable, small — the shard state
-    itself travels through shared memory, not the queue):
+    ``kind`` selects the query; ``args`` are the slab-local arrays cut
+    out of the batch:
 
     * ``"knn"``  — ``(queries, kk, bound_or_None)``
     * ``"box"``  — ``(los, his)``
     * ``"ball"`` — ``(centers, radii)``
 
-    Charges and results are identical to the in-process slab: the
-    attached tree runs the same engines over the same bytes, wrapped in
-    the same ``cluster.<label>.shard`` span the inline path emits.
+    ``trace_ids`` names the serving requests the slab computes for; the
+    span carries them, so every backend's lanes name their requests.
     """
-    spec, slot, kind, label, args = payload
-    tree = _attached_tree(int(slot), spec)
+    kw = {"trace_ids": trace_ids} if trace_ids else {}
     with span(f"cluster.{label}.shard", cat="cluster",
-              shard=int(slot), batch=len(args[0])):
+              shard=slot, batch=len(args[0]), **kw):
         if kind == "knn":
             qs, kk, bound = args
             return tree.knn(qs, kk, exclude_self=False, bound=bound)
@@ -92,3 +91,16 @@ def run_slab(payload):
             cs, rr = args
             return tree.range_query_ball_batch(cs, rr)
         raise ValueError(f"unknown slab kind {kind!r}")
+
+
+def run_slab(payload):
+    """Worker entry: ``(spec, slot, kind, label, args, trace_ids)``.
+
+    Attaches the shard's snapshot named by ``spec`` and runs
+    :func:`query_slab` on it.  The shard state travels through shared
+    memory, not the queue; the attached tree runs the same engines over
+    the same bytes, so charges and results equal the inline slab's.
+    """
+    spec, slot, kind, label, args, trace_ids = payload
+    return query_slab(_attached_tree(slot, spec), slot, kind, label, args,
+                      trace_ids)

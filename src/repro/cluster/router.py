@@ -25,12 +25,14 @@ way, and the top-k distance multiset is partition-invariant).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..obs.rtrace import current_trace_ids
-from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
+from .procwork import query_slab
 
 __all__ = [
     "bbox_mindist2",
@@ -71,52 +73,46 @@ def plan_ball(lo: np.ndarray, hi: np.ndarray, centers: np.ndarray, r2: np.ndarra
 
 
 def scatter(
-    mask: np.ndarray, run_slab, label: str, remote=None
+    mask: np.ndarray, shards, snaps, kind: str, label: str, args
 ) -> list[tuple[int, np.ndarray, object]]:
     """Execute one slab per planned shard; shards are parallel children.
 
-    ``mask`` is the (m, S) plan; ``run_slab(shard_idx, qidx)`` executes
-    shard ``shard_idx``'s slab over query rows ``qidx`` and returns its
-    result.  Returns ``[(shard_idx, qidx, result), ...]`` for the
-    shards with non-empty slabs.  The scheduler composes the slab costs
-    as sum-work / max-depth, which is exactly the scatter-gather DAG.
+    ``mask`` is the (m, S) plan over ``shards``; each planned shard runs
+    :func:`~repro.cluster.procwork.query_slab` of ``kind`` over query
+    rows ``qidx``, whose arrays ``args(qidx)`` cuts out of the batch.
+    Returns ``[(shard_idx, qidx, result), ...]`` for the shards with
+    non-empty slabs.  The scheduler composes the slab costs as
+    sum-work / max-depth, which is exactly the scatter-gather DAG.
 
-    ``remote`` is the declarative form of the same slabs for the
-    ``processes`` backend: a callable ``remote(shard_idx, qidx)``
-    returning a picklable payload for
-    :func:`repro.cluster.procwork.run_slab`.  When the active backend
-    is ``processes`` (and ``remote`` is given) slabs are dispatched to
-    the worker pool with the shard index as affinity — shard-pinned
-    workers read the shard's state from shared memory — with identical
-    cost composition, results and gather order; on the other backends
-    ``remote`` is ignored and the closures run as usual.
+    On the ``processes`` backend the same slab description, with the
+    shard's shared-memory snapshot spec from ``snaps``
+    (:class:`~repro.cluster.snapshot.SnapshotManager`), ships to the
+    worker pool with the shard index as affinity — shard-pinned workers
+    read the shard's state from shared memory — with identical cost
+    composition, results and gather order.  Elsewhere the slabs run on
+    ``shards[s].tree`` in this process.
     """
-    active = np.flatnonzero(mask.any(axis=0))
+    active = np.flatnonzero(mask.any(axis=0)).tolist()
     slabs = [np.flatnonzero(mask[:, s]) for s in active]
     sched = get_scheduler()
-    # the serve-layer batch executing on this thread, if any: shard and
-    # worker spans are tagged with its member trace ids so one exported
+    # the serve-layer batch executing on this thread, if any: shard
+    # spans are tagged with its member trace ids so one exported
     # timeline names the requests each lane computed for
     trace_ids = current_trace_ids()
 
-    if remote is not None and sched.backend == "processes":
-        tasks = [(int(s), remote(int(s), q)) for s, q in zip(active, slabs)]
-        results = sched.process_map("repro.cluster.procwork:run_slab", tasks)
-        return [(int(s), q, r) for s, q, r in zip(active, slabs, results)]
-
-    def make(s: int, qidx: np.ndarray):
-        def thunk():
-            kw = {"trace_ids": trace_ids} if trace_ids else {}
-            with span(f"cluster.{label}.shard", cat="cluster",
-                      shard=int(s), batch=len(qidx), **kw):
-                return run_slab(int(s), qidx)
-
-        return thunk
-
-    results = sched.parallel_do(
-        [make(int(s), q) for s, q in zip(active, slabs)]
-    )
-    return [(int(s), q, r) for s, q, r in zip(active, slabs, results)]
+    if sched.backend == "processes":
+        results = sched.process_map("repro.cluster.procwork:run_slab", [
+            (s, (snaps.spec_for(s, shards[s]), s, kind, label, args(q),
+                 trace_ids))
+            for s, q in zip(active, slabs)
+        ])
+    else:
+        results = sched.parallel_do([
+            partial(query_slab, shards[s].tree, s, kind, label, args(q),
+                    trace_ids)
+            for s, q in zip(active, slabs)
+        ])
+    return list(zip(active, slabs, results))
 
 
 def merge_knn(

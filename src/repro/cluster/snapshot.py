@@ -19,10 +19,13 @@ Lifecycle
   segment and packs a fresh one — on Linux, unlink-while-mapped is
   safe, so workers holding the old attachment finish their in-flight
   slabs untouched and re-attach on the next dispatch.
-* Workers unregister attached segments from their own
-  ``resource_tracker`` (spawn only — under fork the tracker is shared
-  with the parent and the parent's registration must survive), so
-  worker exit never unlinks a segment the parent still owns.
+* Workers started by ``multiprocessing`` share the parent's
+  ``resource_tracker`` under every start method (fork, spawn,
+  forkserver), so a worker's attach registers the segment with the
+  parent's own tracker.  Registration is idempotent and the parent's
+  unlink unregisters it once; a worker must never unregister it
+  itself, or the parent's unlink finds no entry and the tracker
+  prints a ``KeyError``.
 * Every manager registers in a process-wide weak set; scheduler
   shutdown (:func:`repro.parlay.scheduler.register_process_shutdown_hook`)
   and interpreter exit both trigger :func:`release_all_snapshots`, so
@@ -32,7 +35,6 @@ Lifecycle
 from __future__ import annotations
 
 import atexit
-import os
 import weakref
 from multiprocessing import shared_memory
 
@@ -117,21 +119,10 @@ def attach_snapshot(spec: dict) -> tuple[shared_memory.SharedMemory, BDLTree]:
     """Attach a packed snapshot; returns ``(shm, read-only BDLTree)``.
 
     The caller owns the ``shm`` handle: close it (after dropping the
-    tree) when done.  In a spawn-started worker the attachment is
-    unregistered from this process's resource tracker so worker exit
-    cannot unlink a segment the parent still owns; under fork the
-    tracker is the parent's own and the (idempotent) registration is
-    left alone.
+    tree) when done.  The segment stays registered with the resource
+    tracker, which pool workers share with the parent that owns it.
     """
     shm = shared_memory.SharedMemory(name=spec["shm"])
-    start = os.environ.get("REPRO_PROC_START")
-    if start is not None and start != "fork":
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
 
     def view(row):
         dtype, shape, off = row
@@ -219,10 +210,6 @@ class SnapshotManager:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def segment_names(self) -> list[str]:
-        """Names of the live segments (tests check /dev/shm against these)."""
-        return [ent.spec["shm"] for ent in self._entries.values()]
 
 
 #: Every live manager; release runs at scheduler shutdown and at exit.

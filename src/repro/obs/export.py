@@ -46,6 +46,7 @@ __all__ = [
     "summary",
     "totals",
     "validate_chrome_trace",
+    "wall_lane_events",
     "write_chrome_trace",
 ]
 
@@ -171,40 +172,9 @@ def chrome_trace(spans: list[Span], *, workers: int = 36,
                      **({"batch": s.batch} if s.batch is not None else {})},
         })
 
-    # pid 1+: measured wall clock.  Spans forwarded from worker
-    # processes carry their worker's OS pid in meta["pid"] and get a
-    # chrome process lane of their own (pid 2, 3, ...); everything else
-    # — the parent process — lands on pid 1, one lane per OS thread.
+    # pid 1+: measured wall clock
     if spans:
-        t_origin = min(s.t0 for s in spans)
-        worker_pids = sorted({
-            s.meta["pid"] for s in spans if s.meta and "pid" in s.meta
-        })
-        cpid_for = {wp: 2 + i for i, wp in enumerate(worker_pids)}
-        for wp, cpid in cpid_for.items():
-            events.append({"ph": "M", "pid": cpid, "tid": 0,
-                           "name": "process_name",
-                           "args": {"name": f"worker pid {wp}"}})
-        groups: dict[int, list[Span]] = {}
-        for s in spans:
-            wp = s.meta.get("pid") if s.meta else None
-            groups.setdefault(cpid_for.get(wp, 1), []).append(s)
-        for cpid, group in sorted(groups.items()):
-            tids = sorted({s.tid for s in group})
-            lane_for = {tid: i for i, tid in enumerate(tids)}
-            for i, tid in enumerate(tids):
-                events.append({"ph": "M", "pid": cpid, "tid": i,
-                               "name": "thread_name",
-                               "args": {"name": f"thread {tid}"}})
-            for s in group:
-                events.append({
-                    "name": s.name, "cat": s.cat, "ph": "X", "pid": cpid,
-                    "tid": lane_for[s.tid],
-                    "ts": round((s.t0 - t_origin) * 1e6, 3),
-                    "dur": round(max((s.t1 - s.t0) * 1e6, 0.001), 3),
-                    "args": {"sid": s.sid, "work": s.work, "depth": s.depth,
-                             "backend": s.backend},
-                })
+        events += wall_lane_events(spans, min(s.t0 for s in spans))
 
     return {
         "traceEvents": events,
@@ -219,6 +189,55 @@ def chrome_trace(spans: list[Span], *, workers: int = 36,
             "spans": len(spans),
         },
     }
+
+
+def wall_lane_events(spans: list[Span], t_origin: float) -> list[dict]:
+    """Chrome events placing ``spans`` at their measured wall-clock times.
+
+    Spans forwarded from worker processes carry their worker's OS pid
+    in ``meta["pid"]`` and get a chrome process lane of their own
+    (pid 2, 3, ...); everything else — the parent process — lands on
+    pid 1, one lane per OS thread.  The caller names pid 1.  ``ts`` is
+    microseconds since ``t_origin`` (a ``perf_counter`` reading); the
+    span meta's ``links`` / ``trace_ids``, when present, are copied
+    into the event args.
+    """
+    worker_pids = sorted({
+        s.meta["pid"] for s in spans if s.meta and "pid" in s.meta
+    })
+    cpid_for = {wp: 2 + i for i, wp in enumerate(worker_pids)}
+    events: list[dict] = [
+        {"ph": "M", "pid": cpid, "tid": 0, "name": "process_name",
+         "args": {"name": f"worker pid {wp}"}}
+        for wp, cpid in cpid_for.items()
+    ]
+    groups: dict[int, list[Span]] = {}
+    for s in spans:
+        wp = s.meta.get("pid") if s.meta else None
+        groups.setdefault(cpid_for.get(wp, 1), []).append(s)
+    for cpid, group in sorted(groups.items()):
+        tids = sorted({s.tid for s in group})
+        lane_for = {tid: i for i, tid in enumerate(tids)}
+        for i, tid in enumerate(tids):
+            events.append({"ph": "M", "pid": cpid, "tid": i,
+                           "name": "thread_name",
+                           "args": {"name": f"thread {tid}"}})
+        for s in group:
+            args = {"sid": s.sid, "work": s.work, "depth": s.depth,
+                    "backend": s.backend}
+            meta = s.meta or {}
+            if "links" in meta:
+                args["links"] = list(meta["links"])
+            if "trace_ids" in meta:
+                args["trace_ids"] = list(meta["trace_ids"])
+            events.append({
+                "name": s.name, "cat": s.cat, "ph": "X", "pid": cpid,
+                "tid": lane_for[s.tid],
+                "ts": round((s.t0 - t_origin) * 1e6, 3),
+                "dur": round(max((s.t1 - s.t0) * 1e6, 0.001), 3),
+                "args": args,
+            })
+    return events
 
 
 def write_chrome_trace(path: str | os.PathLike, spans: list[Span], *,

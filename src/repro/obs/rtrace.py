@@ -39,9 +39,10 @@ below, on one wall-clock axis.
 
 Trace ids propagate across threads and processes via
 :func:`batch_context` (thread-local, set by the service around one
-coalesced execution) — the scatter-gather router and the process-pool
-workers read it to tag their spans, and the batch span carries ``links``
-to every member request's trace id.
+coalesced execution) — the scatter-gather router reads it and puts the
+ids in each shard slab, whose span carries them inline and in
+process-pool workers alike, and the batch span carries ``links`` to
+every member request's trace id.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .export import wall_lane_events
 from .span import Span
 
 __all__ = [
@@ -222,9 +224,9 @@ def batch_context(trace_ids):
     """Mark the current thread as executing one coalesced batch.
 
     The service wraps each batch execution in this; the scatter-gather
-    router and the process-map dispatcher read the ids back with
-    :func:`current_trace_ids` to tag shard/worker spans, so worker
-    lanes in an exported timeline name the requests they computed for.
+    router reads the ids back with :func:`current_trace_ids` and tags
+    every shard span with them, on every backend, so worker lanes in an
+    exported timeline name the requests they computed for.
     """
     ids = tuple(trace_ids)
     prev = getattr(_tls, "trace_ids", None)
@@ -523,42 +525,9 @@ def flight_chrome_trace(traces: list[RequestTrace], *,
 
     # batch + worker spans on shared lanes below the request lanes
     spans = sorted(uniq_spans.values(), key=lambda s: s.sid)
-    worker_pids = sorted({
-        s.meta["pid"] for s in spans if s.meta and "pid" in s.meta
-    })
-    cpid_for = {wp: 2 + i for i, wp in enumerate(worker_pids)}
     events.append({"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
                    "args": {"name": "serving process (batch spans)"}})
-    for wp, cpid in cpid_for.items():
-        events.append({"ph": "M", "pid": cpid, "tid": 0,
-                       "name": "process_name",
-                       "args": {"name": f"worker pid {wp}"}})
-    groups: dict[int, list[Span]] = {}
-    for s in spans:
-        wp = s.meta.get("pid") if s.meta else None
-        groups.setdefault(cpid_for.get(wp, 1), []).append(s)
-    for cpid, group in sorted(groups.items()):
-        tids = sorted({s.tid for s in group})
-        lane_for = {tid: i for i, tid in enumerate(tids)}
-        for i, tid in enumerate(tids):
-            events.append({"ph": "M", "pid": cpid, "tid": i,
-                           "name": "thread_name",
-                           "args": {"name": f"thread {tid}"}})
-        for s in group:
-            args = {"sid": s.sid, "work": s.work, "depth": s.depth,
-                    "backend": s.backend}
-            meta = s.meta or {}
-            if "links" in meta:
-                args["links"] = list(meta["links"])
-            if "trace_ids" in meta:
-                args["trace_ids"] = list(meta["trace_ids"])
-            events.append({
-                "name": s.name, "cat": s.cat, "ph": "X", "pid": cpid,
-                "tid": lane_for[s.tid],
-                "ts": round((s.t0 - t_origin) * 1e6, 3),
-                "dur": round(max((s.t1 - s.t0) * 1e6, 0.001), 3),
-                "args": args,
-            })
+    events += wall_lane_events(spans, t_origin)
 
     return {
         "traceEvents": events,

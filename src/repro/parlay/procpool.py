@@ -34,7 +34,7 @@ import traceback
 
 import multiprocessing as mp
 
-__all__ = ["ProcPool", "ProcResult", "default_start_method", "worker_pid"]
+__all__ = ["ProcPool", "ProcResult", "default_start_method"]
 
 #: Per-get timeout while waiting for results (liveness is re-checked).
 _POLL_S = 1.0
@@ -75,7 +75,7 @@ class ProcResult:
         self.pid = pid
 
 
-def _worker_main(widx: int, start_method: str, task_q, result_q) -> None:
+def _worker_main(widx: int, task_q, result_q) -> None:
     """Worker loop: run tasks until the ``None`` sentinel arrives."""
     # A forked worker inherits the parent's scheduler/tracer; reset both
     # so slab code runs inline (the nested-fork fallback) and never
@@ -84,10 +84,6 @@ def _worker_main(widx: int, start_method: str, task_q, result_q) -> None:
     from . import workdepth
 
     workdepth.set_tracer(None)
-    os.environ["REPRO_PROC_WORKER"] = "1"
-    # how this worker was started — shared-memory attach consults it to
-    # decide whether this process owns its own resource tracker
-    os.environ["REPRO_PROC_START"] = start_method
     pid = os.getpid()
 
     while True:
@@ -111,16 +107,9 @@ def _worker_main(widx: int, start_method: str, task_q, result_q) -> None:
                 # labelled like the thread backend's task frames, so the
                 # forwarded span tree looks the same across backends
                 label = "parlay.task" if recorder is not None else None
-                # request-trace ids of the serve batch this slab computes
-                # for (propagated by scheduler.process_map) tag the task
-                # span, so worker lanes name their requests
-                extra = (
-                    {"trace_ids": tuple(opts["trace_ids"])}
-                    if opts.get("trace_ids") else {}
-                )
                 with workdepth.tracker.frame(
                     label=label, cat="task", backend="processes",
-                    batch=opts.get("batch"), **extra,
+                    batch=opts.get("batch"),
                 ) as cost:
                     result = fn(payload)
             finally:
@@ -171,7 +160,7 @@ class ProcPool:
             tq = self._ctx.Queue()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(i, self.start_method, tq, self._result_q),
+                args=(i, tq, self._result_q),
                 name=f"parlay-proc-{i}",
                 daemon=True,
             )
@@ -218,15 +207,12 @@ class ProcPool:
         *,
         trace: bool = False,
         workers_hint: int | None = None,
-        trace_ids: tuple[str, ...] | None = None,
     ) -> list[ProcResult]:
         """Run ``fn(payload)`` per task on its affinity worker; in order.
 
         ``tasks`` is ``[(affinity, payload), ...]``; task ``i`` runs on
         worker ``affinity % p``, so equal affinities always share a
-        worker (pinning).  ``trace_ids`` optionally names the serving
-        requests this batch computes for; workers tag their task spans
-        with them.  Raises ``RuntimeError`` carrying the remote
+        worker (pinning).  Raises ``RuntimeError`` carrying the remote
         traceback if any task fails, after draining the rest.
         """
         if not tasks:
@@ -237,8 +223,6 @@ class ProcPool:
             "workers": int(workers_hint or self.workers),
             "batch": len(tasks),
         }
-        if trace_ids:
-            opts["trace_ids"] = tuple(trace_ids)
         base = self._seq
         self._seq += len(tasks)
         for i, (affinity, payload) in enumerate(tasks):

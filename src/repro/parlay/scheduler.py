@@ -279,11 +279,8 @@ class Scheduler:
             )
 
         fork_parent = tr.current_id() if tr is not None else None
-        from ..obs.rtrace import current_trace_ids
-
         out = self.proc_pool().run_tasks(
             func_path, tasks, trace=tr is not None, workers_hint=self.workers,
-            trace_ids=current_trace_ids() or None,
         )
         costs = [Cost(r.work, r.depth) for r in out]
         if len(costs) == 1:

@@ -154,3 +154,22 @@ class TestTrackerHygiene:
         repro.emst(pts[:200])
         assert len(tracker._stack) == 1
         assert tracker.total().work > 0
+
+
+class TestPublicNames:
+    def test_every_all_name_resolves(self):
+        """``from m import *`` works for every module: each name a
+        module's ``__all__`` lists exists on it."""
+        import importlib
+        import pkgutil
+
+        import repro
+
+        missing = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            mod = importlib.import_module(info.name)
+            missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ())
+                        if not hasattr(mod, n)]
+        assert missing == []

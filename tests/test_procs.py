@@ -413,10 +413,12 @@ class TestSharedMemoryLifecycle:
             idx.close()
             assert _shm_segments() - before == set()
 
-    def test_no_resource_tracker_warnings_in_subprocess(self, tmp_path):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+    def test_no_resource_tracker_warnings_in_subprocess(self, start_method):
         """End to end in a clean interpreter: run the workload, exit,
         and assert the resource tracker stayed silent and /dev/shm
-        came back clean."""
+        came back clean.  Workers share the parent's resource tracker
+        under every start method, so none may unregister a segment."""
         import subprocess
         import sys
 
@@ -430,8 +432,11 @@ class TestSharedMemoryLifecycle:
             "    idx.knn(rng.normal(size=(40, 2)), 3)\n"
             "    idx.insert(rng.normal(size=(100, 2)))\n"
             "    idx.knn(rng.normal(size=(40, 2)), 3)\n"
+            "    idx.range_query_box_batch([[-1.0, -1.0]], [[1.0, 1.0]])\n"
         )
-        env = dict(os.environ, PYTHONPATH="src")
+        before = _shm_segments()
+        env = dict(os.environ, PYTHONPATH="src",
+                   REPRO_PROC_START_METHOD=start_method)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -440,3 +445,4 @@ class TestSharedMemoryLifecycle:
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
+        assert _shm_segments() - before == set()

@@ -210,20 +210,30 @@ class TestPropagation:
                 assert current_trace_ids() is None
         assert current_trace_ids() is None
 
-    def test_shard_spans_tagged_inline(self):
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
+    def test_shard_spans_tagged(self, backend):
+        """Every shard span names the batch's requests, on every backend;
+        on ``processes`` those are the spans forwarded from workers."""
         pts = _pts(2000)
         idx = ShardedIndex(pts, 4)
         rec = SpanRecorder()
-        enable_tracing(rec)
         try:
-            with batch_context(("tid_x",)):
-                idx.knn(_pts(8, seed=2), k=3)
+            with use_backend(backend, 2):
+                enable_tracing(rec)
+                try:
+                    with batch_context(("tid_x",)):
+                        idx.knn(_pts(8, seed=2), k=3)
+                finally:
+                    disable_tracing()
         finally:
-            disable_tracing()
-        tagged = [s for s in rec.spans()
-                  if s.meta and s.meta.get("trace_ids")]
-        assert tagged, "no shard spans carried trace ids"
-        assert all(s.meta["trace_ids"] == ("tid_x",) for s in tagged)
+            idx.close()
+        shard = [s for s in rec.spans() if s.name.startswith("cluster.")
+                 and s.name.endswith(".shard")]
+        assert shard, "no shard spans recorded"
+        assert all(s.meta and s.meta.get("trace_ids") == ("tid_x",)
+                   for s in shard)
+        assert all((backend == "processes") == ("pid" in s.meta)
+                   for s in shard)
 
     def test_batch_subtree_extraction(self):
         rec = SpanRecorder()
