@@ -65,7 +65,7 @@ def _attached_tree(slot: int, spec: dict):
     return tree
 
 
-def query_slab(tree, slot: int, kind: str, label: str, args, trace_ids=None):
+def query_slab(tree, slot: int, kind: str, label: str, args, trace_ids):
     """Run one shard slab on ``tree`` inside a ``cluster.<label>.shard`` span.
 
     ``kind`` selects the query; ``args`` are the slab-local arrays cut
