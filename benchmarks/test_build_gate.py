@@ -14,6 +14,14 @@ over ``BDL_PAIRS`` back-to-back recursive/batched build pairs, which
 alternate which side runs first, so a slow stretch of the host hits
 both sides of a pair alike.
 
+Shared-skeleton gate: builds ``ShardedIndex(2D-U-20K, 16)`` with each
+distinct tree layout computed once per construction (the runtime
+build) and with every tree computing its own (``per_tree_skeletons``
+in ``tests/_build_reference.py``).  Shards, node arrays and charges
+must be equal unconditionally; at full scale the median of the per-pair
+ratios over ``SKELETON_PAIRS`` alternating pairs must be at least
+1.25x.  Each side of a pair is the best of ``REPEATS`` builds.
+
 Hull gate: runs 2D quickhull on 200k uniform (interior-heavy) points
 with and without the Akl–Toussaint prefilter.  The filtered hull must
 be a **bitwise-identical index sequence** unconditionally; unlike the
@@ -28,7 +36,8 @@ size of one routed insert batch (8 points) and of a sharded build
 unconditionally, and at full scale ``hilbert_codes`` must be at least
 2x faster at both sizes.
 
-Results land in ``BENCH_build.json`` at the repo root.
+Results land in ``BENCH_build.json`` at the repo root, with a ``meta``
+block (commit, cores, versions, scale) and a ``kind`` on every record.
 """
 
 import json
@@ -42,26 +51,35 @@ import numpy as np
 
 from repro.bdl import BDLTree
 from repro.bench import bench_scale
+from repro.cluster import ShardedIndex
 from repro.hull import quickhull2d_seq
 from repro.kdtree import KDTree
 from repro.parlay import tracker
 from repro.spatialsort import hilbert_codes
 
-from conftest import data, run_once
+from conftest import bench_meta, data, run_once
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests._build_reference import assert_same_tree, recursive_builds  # noqa: E402
+from tests._build_reference import (  # noqa: E402
+    assert_same_tree,
+    per_tree_skeletons,
+    recursive_builds,
+)
 from tests._hilbert_reference import reference_hilbert_codes  # noqa: E402
 
 BUILD_N = bench_scale(100_000)
 HULL_N = bench_scale(200_000)
 HILBERT_NS = (8, bench_scale(20_000))
+SHARDED_N = bench_scale(20_000)
+SHARDS = 16
 FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 MIN_BUILD_RATIO = 3.0
 MIN_HULL_RATIO = 2.0
 MIN_HILBERT_RATIO = 2.0
+MIN_SKELETON_RATIO = 1.25
 REPEATS = 3
 BDL_PAIRS = 7
+SKELETON_PAIRS = 7
 
 _records: dict[str, dict] = {}
 
@@ -98,7 +116,7 @@ def _build_gate(benchmark, ds_name: str):
 
     ratio = t_rec / t_bat if t_bat > 0 else float("inf")
     _records[f"kdtree_{ds_name}"] = {
-        "n": BUILD_N, "dims": pts.shape[1],
+        "kind": "wall", "n": BUILD_N, "dims": pts.shape[1],
         "recursive_s": t_rec, "batched_s": t_bat, "speedup": ratio,
         "work": c_bat.work, "depth": c_bat.depth,
     }
@@ -155,7 +173,7 @@ def test_bdl_build_ratio(benchmark):
     # median of the per-pair ratios: robust to host drift
     ratio = float(np.median(pair_ratios))
     _records["bdl_2D-U"] = {
-        "n": BUILD_N, "dims": pts.shape[1],
+        "kind": "wall", "n": BUILD_N, "dims": pts.shape[1],
         "recursive_s": float(np.median(rec_s)),
         "batched_s": float(np.median(bat_s)),
         "speedup": ratio,
@@ -175,6 +193,58 @@ def test_bdl_build_ratio(benchmark):
     run_once(benchmark, lambda: None)
 
 
+def test_sharded_shared_skeleton_ratio(benchmark):
+    """A sharded build's equal-size shard trees share one skeleton."""
+    pts = data(f"2D-U-{SHARDED_N}")
+
+    def build(per_tree: bool):
+        with per_tree_skeletons() if per_tree else nullcontext():
+            idx, t, cost = _timed(lambda: ShardedIndex(pts, SHARDS))
+        return idx, t, cost
+
+    pairs = []
+    for p in range(SKELETON_PAIRS):
+        sides = {}
+        for per_tree in (True, False) if p % 2 == 0 else (False, True):
+            sides[per_tree] = build(per_tree)
+        (ia, t_alone, c_alone), (ib, t_shared, c_shared) = sides[True], sides[False]
+
+        assert ia.shard_sizes() == ib.shard_sizes()
+        for sa, sb in zip(ia.shards, ib.shards):
+            assert sa.tree.bitmask == sb.tree.bitmask
+            for ta, tbt in zip(sa.tree.trees, sb.tree.trees):
+                assert (ta is None) == (tbt is None)
+                if ta is not None:
+                    assert_same_tree(ta, tbt, "sharded")
+        # one skeleton or sixteen, the replayed charges are the same floats
+        assert (c_alone.work, c_alone.depth) == (c_shared.work, c_shared.depth)
+        pairs.append((t_alone, t_shared))
+
+    alone_s = [a for a, _ in pairs]
+    shared_s = [b for _, b in pairs]
+    pair_ratios = [a / b if b > 0 else float("inf") for a, b in pairs]
+    ratio = float(np.median(pair_ratios))
+    _records[f"sharded_skeletons_2D-U-{SHARDED_N}"] = {
+        "kind": "wall", "n": SHARDED_N, "dims": pts.shape[1], "shards": SHARDS,
+        "per_tree_s": float(np.median(alone_s)),
+        "shared_s": float(np.median(shared_s)),
+        "speedup": ratio,
+        "pair_per_tree_s": alone_s, "pair_shared_s": shared_s,
+        "pair_speedups": pair_ratios,
+        "work": c_shared.work, "depth": c_shared.depth,
+    }
+    print(f"\nsharded build n={SHARDED_N} x{SHARDS}: median per-tree skeletons "
+          f"{np.median(alone_s) * 1e3:.1f} ms, shared {np.median(shared_s) * 1e3:.1f} ms"
+          f" -> paired median {ratio:.2f}x "
+          f"(pairs {', '.join(f'{r:.2f}' for r in pair_ratios)})")
+    if FULL_SCALE:
+        assert ratio >= MIN_SKELETON_RATIO, (
+            f"shared skeletons only {ratio:.2f}x faster (paired median of "
+            f"{SKELETON_PAIRS}; gate requires >= {MIN_SKELETON_RATIO}x at full scale)"
+        )
+    run_once(benchmark, lambda: None)
+
+
 def test_hull_filter_ratio(benchmark):
     """Akl–Toussaint filter-first quickhull on interior-heavy input."""
     pts = data(f"2D-U-{HULL_N}")
@@ -186,7 +256,7 @@ def test_hull_filter_ratio(benchmark):
 
     ratio = t_unf / t_fil if t_fil > 0 else float("inf")
     _records["hull2d_2D-U"] = {
-        "n": HULL_N, "hull_vertices": int(len(hf)),
+        "kind": "wall", "n": HULL_N, "hull_vertices": int(len(hf)),
         "unfiltered_s": t_unf, "filtered_s": t_fil, "speedup": ratio,
         "work_unfiltered": c_unf.work, "work_filtered": c_fil.work,
     }
@@ -254,12 +324,14 @@ def teardown_module(module):
     out = root / "BENCH_build.json"
     payload = {
         "benchmark": "construction: runtime batched build vs the reference "
-                     "recursion, "
+                     "recursion, shared vs per-tree skeletons, "
                      "Akl-Toussaint filter-first hull, Hilbert coding vs "
                      "the per-bit reference",
+        "meta": bench_meta(),
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
         "gates": {
             "min_build_speedup": MIN_BUILD_RATIO,
+            "min_shared_skeleton_speedup": MIN_SKELETON_RATIO,
             "min_hull_speedup": MIN_HULL_RATIO,
             "min_hilbert_speedup": MIN_HILBERT_RATIO,
             "identical_outputs": "unconditional",

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _LastTouched
 from ..core.points import as_array
+from ..kdtree.build import shared_skeletons
 from ..kdtree.range_search import ball_r2s
 from ..obs.registry import MetricsRegistry
 from ..obs.span import span
@@ -151,7 +152,8 @@ class ShardedIndex:
         gids = np.arange(n, dtype=np.int64)
         owner = self.part.owners(self.part.build_codes)
         S = self.part.n_shards
-        with span("cluster.build", cat="cluster", batch=n, shards=S):
+        # equal-size shard trees share one skeleton (kdtree.build)
+        with shared_skeletons(), span("cluster.build", cat="cluster", batch=n, shards=S):
             self.shards: list[Shard] = get_scheduler().parallel_do(
                 [
                     (
@@ -561,7 +563,8 @@ class ShardedIndex:
             buffer_size=self.buffer_size,
             leaf_size=self.leaf_size,
         )
-        self.shards[s : s + 1] = [mk(left), mk(~left)]
+        with shared_skeletons():
+            self.shards[s : s + 1] = [mk(left), mk(~left)]
         self._restack()
         self._m_rebalances.inc()
         self.version += 1

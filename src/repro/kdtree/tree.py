@@ -23,7 +23,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge, fork_costs
-from .build import build_batched
+from .build import build_batched, tree_levels
 
 __all__ = [
     "KDTree",
@@ -144,13 +144,7 @@ class KDTree:
         self.n_points = n
         self.dim = d
 
-        # number of levels: enough that a balanced tree has <= leaf_size
-        # points per leaf
-        if n == 0:
-            levels = 1
-        else:
-            levels = max(1, math.ceil(math.log2(max(1, n / leaf_size))) + 1)
-        self.levels = levels
+        levels = self.levels = tree_levels(n, leaf_size)
         nslots = (1 << levels) - 1
 
         # flat node storage (vEB order = array order)

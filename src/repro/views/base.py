@@ -54,7 +54,7 @@ class Mirror:
         self._gids = np.asarray(gids, dtype=np.int64).copy()
         self._alive = np.ones(len(self._gids), dtype=bool)
         self._view(len(self._gids))
-        self.row_of = {int(g): i for i, g in enumerate(self.gids)}
+        self.row_of = dict(zip(self.gids.tolist(), range(len(self.gids))))
 
     def _view(self, n: int) -> None:
         self.pts = self._pts[:n]

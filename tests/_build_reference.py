@@ -13,6 +13,10 @@ batched build for every tree constructed in a block (BDL-tree and
 sharded rebuilds included), so only the recursion's charges land on
 the tracker.  Like any module-global patch it cannot reach
 ``processes``-backend pool workers.
+
+:func:`per_tree_skeletons` keeps the batched build but hides the
+construction's shared skeletons from it, so every tree computes its own
+layout (the build gate's baseline for sharing).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.kdtree import build as _build
 from repro.kdtree import tree as _tree
 
 #: Node arrays a build writes, with the value ``KDTree.__init__``
@@ -50,6 +55,26 @@ def recursive_builds():
     """Build every object-median tree in the block by the recursion."""
     saved = _tree.build_batched
     _tree.build_batched = rebuild_recursive
+    try:
+        yield
+    finally:
+        _tree.build_batched = saved
+
+
+@contextmanager
+def per_tree_skeletons():
+    """Build every object-median tree in the block from its own skeleton."""
+    saved = _tree.build_batched
+
+    def build(tree):
+        shared = getattr(_build._construction, "skeletons", None)
+        _build._construction.skeletons = None
+        try:
+            saved(tree)
+        finally:
+            _build._construction.skeletons = shared
+
+    _tree.build_batched = build
     try:
         yield
     finally:

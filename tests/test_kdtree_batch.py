@@ -514,6 +514,153 @@ class TestBuildEngineEquivalence:
         assert np.array_equal(d1, d2) and np.array_equal(g1, g2)
 
 
+
+# ----------------------------------------------------------------------
+# skeletons shared within one construction (repro.kdtree.build)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def skeleton_calls(monkeypatch):
+    """The ``(n, leaf_size, d)`` of every skeleton computed."""
+    import repro.kdtree.build as B
+
+    calls = []
+    real = B.skeleton
+    monkeypatch.setattr(B, "skeleton", lambda *key: calls.append(key) or real(*key))
+    return calls
+
+
+@pytest.fixture
+def built_keys(monkeypatch):
+    """The ``(n, leaf_size, d)`` of every object-median tree built."""
+    import repro.kdtree.tree as T
+
+    keys = []
+    real = T.build_batched
+
+    def build(t):
+        keys.append((t.n_points, t.leaf_size, t.dim))
+        real(t)
+
+    monkeypatch.setattr(T, "build_batched", build)
+    return keys
+
+
+def _sharded_outcome(pts, n_shards, ctx):
+    """A ShardedIndex built inside ``ctx``, with the build's charge."""
+    from repro.cluster import ShardedIndex
+
+    tracker.reset()
+    with ctx:
+        idx = ShardedIndex(pts, n_shards)
+    return idx, tracker.reset()
+
+
+def _assert_same_shards(a, b, label):
+    assert a.shard_sizes() == b.shard_sizes(), label
+    for sa, sb in zip(a.shards, b.shards):
+        assert sa.tree.bitmask == sb.tree.bitmask, label
+        for ta, tb in zip(sa.tree.trees, sb.tree.trees):
+            assert (ta is None) == (tb is None), label
+            if ta is not None:
+                assert_same_tree(ta, tb, label)
+
+
+class TestSharedSkeletons:
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("leaf_size", [1, 8, 16])
+    def test_second_tree_reuses_skeleton(self, dim, leaf_size, rng, skeleton_calls):
+        from repro.kdtree.build import shared_skeletons
+        from repro.kdtree.tree import _SEQ_CUTOFF
+
+        for n in (1, 2, leaf_size, leaf_size + 1, 1248, 1250, _SEQ_CUTOFF + 4):
+            pts = rng.uniform(0, 100, size=(n, dim))
+            tr, cr = costed(recursive_kdtree, pts, leaf_size=leaf_size)
+            skeleton_calls.clear()
+            with shared_skeletons():
+                KDTree(rng.uniform(0, 100, size=(n, dim)), leaf_size=leaf_size)
+                tb, cb = costed(KDTree, pts, leaf_size=leaf_size)
+            label = f"shared skeleton n={n} d={dim} ls={leaf_size}"
+            assert skeleton_calls == [(n, leaf_size, dim)], label
+            assert_same_tree(tr, tb, label)
+            assert cr.work == cb.work and cr.depth == cb.depth, label
+            tb.check_invariants()
+
+    @pytest.mark.parametrize("kind", ["uniform", "duplicates"])
+    def test_sharded_build_one_skeleton_per_size(self, kind, rng, skeleton_calls,
+                                                 built_keys):
+        from ._build_reference import per_tree_skeletons
+
+        if kind == "uniform":
+            pts = rng.uniform(0, 100, size=(4000, 2))
+        else:
+            # heavy duplicate runs stay in one shard: shard sizes differ
+            pts = rng.integers(0, 7, size=(4000, 2)).astype(np.float64)
+        got, cost = _sharded_outcome(pts, 8, nullcontext())
+        distinct = set(built_keys)
+        assert sorted(skeleton_calls) == sorted(distinct)
+        if kind == "uniform":
+            assert len(distinct) == 1 and len(built_keys) == 8
+        else:
+            assert len(distinct) > 1
+        n_trees = len(built_keys)
+        skeleton_calls.clear()
+        alone, cost_alone = _sharded_outcome(pts, 8, per_tree_skeletons())
+        assert len(skeleton_calls) == n_trees
+        ref, cost_ref = _sharded_outcome(pts, 8, recursive_builds())
+        _assert_same_shards(ref, got, kind)
+        _assert_same_shards(alone, got, kind)
+        # bitwise equal to per-tree skeletons; the recursion's depth sums
+        # the same terms in another order
+        assert (cost.work, cost.depth) == (cost_alone.work, cost_alone.depth)
+        assert cost.work == cost_ref.work
+        assert np.isclose(cost.depth, cost_ref.depth, rtol=1e-9)
+
+    def test_nothing_survives_a_construction(self, rng, skeleton_calls):
+        from repro.cluster import ShardedIndex
+        from repro.kdtree.build import shared_skeletons
+
+        pts = rng.uniform(0, 100, size=(4000, 2))
+        ShardedIndex(pts, 8)
+        ShardedIndex(pts, 8)
+        assert skeleton_calls == [(500, 16, 2)] * 2
+        with shared_skeletons():
+            KDTree(pts[:500])
+        KDTree(pts[:500])
+        assert len(skeleton_calls) == 4
+
+    def test_threads_backend_equal(self, rng):
+        from repro.parlay import use_backend
+
+        from ._build_reference import per_tree_skeletons
+
+        pts = rng.uniform(0, 100, size=(4000, 3))
+
+        def bdl_insert():
+            b = BDLTree(3, buffer_size=100)
+            tracker.reset()
+            b.insert(pts[:700])  # fills static trees 0, 1 and 2 at once
+            return b, tracker.reset()
+
+        ref, cost_ref = _sharded_outcome(pts, 8, recursive_builds())
+        alone, cost_alone = _sharded_outcome(pts, 8, per_tree_skeletons())
+        with recursive_builds():
+            br, cbr = bdl_insert()
+        with per_tree_skeletons():
+            ba, cba = bdl_insert()
+        with use_backend("threads", 2):
+            got, cost = _sharded_outcome(pts, 8, nullcontext())
+            b, cb = bdl_insert()
+        _assert_same_shards(ref, got, "threads")
+        assert (cost.work, cost.depth) == (cost_alone.work, cost_alone.depth)
+        assert cost.work == cost_ref.work
+        assert np.isclose(cost.depth, cost_ref.depth, rtol=1e-9)
+        assert b.bitmask == br.bitmask == 0b111
+        for ta, tb in zip(br.trees, b.trees):
+            assert_same_tree(ta, tb, "threads bdl")
+        assert (cb.work, cb.depth) == (cba.work, cba.depth)
+        assert cb.work == cbr.work
+        assert np.isclose(cb.depth, cbr.depth, rtol=1e-9)
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
 
