@@ -199,8 +199,7 @@ def test_sharded_shared_skeleton_ratio(benchmark):
 
     def build(per_tree: bool):
         with per_tree_skeletons() if per_tree else nullcontext():
-            idx, t, cost = _timed(lambda: ShardedIndex(pts, SHARDS))
-        return idx, t, cost
+            return _timed(lambda: ShardedIndex(pts, SHARDS))
 
     pairs = []
     for p in range(SKELETON_PAIRS):

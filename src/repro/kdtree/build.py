@@ -18,30 +18,30 @@ groups of median splits, the leaf tiling and the box-combine order.
 ``_build``'s recursion; a recursion call's output depends only on its
 segment size, level count and kind, so each distinct call is computed
 once and repeated subtrees are shifted copies of it.  The point pass
-(:func:`build_batched`)
-then only runs numpy calls on those arrays: it replays each level's
-partitions with the same kernel the recursive path uses
-(``np.argpartition`` row-by-row semantics are identical to the 1-D
+(:func:`build_batched`) then only runs numpy calls on those arrays: it
+replays each level's partitions with the same kernel the recursive path
+uses (``np.argpartition`` row-by-row semantics are identical to the 1-D
 call), so ``perm``, ``split_val`` and the boxes match the recursive
 build bitwise.
 
 **Cost invariance.**  The skeleton also replays the recursive builder's
 work/depth accounting — every ``charge`` and every ``merge_parallel``
-in the exact order the recursion performs them, with the same float
-arithmetic — and the point pass issues the total as one charge.  The
-charges are therefore identical on every backend; what the batched
-engine gives up is per-task ``parlay.task`` spans under tracing (the
-same trade the batched query engine made).
+of every call, in the call's order, with the same float arithmetic —
+and the point pass issues the total as one charge.  The charges are
+therefore identical on every backend; what the batched engine gives up
+is per-task ``parlay.task`` spans under tracing (the same trade the
+batched query engine made).
 
 **Sharing within one construction.**  A construction that builds many
 trees — a :class:`~repro.cluster.index.ShardedIndex` or a shard split —
 builds them inside :func:`shared_skeletons`, and trees of equal
 ``(n, leaf_size, d)`` then share one skeleton (a sharded index's
-equal-size shards build one skeleton, not one each).  The skeletons are dropped when the
-construction's block ends: nothing is cached across constructions, so
-every build pays for its own layouts and a timed build stays a cold
-build.  The block is per thread; a ``threads``-backend worker outside
-it computes its own skeletons, which are identical.
+equal-size shards build one skeleton, not one each).  The skeletons
+are dropped when the construction's block ends: nothing is cached
+across constructions, so every build pays for its own layouts and a
+timed build stays a cold build.  The block is per thread; a
+``threads``-backend worker outside it computes its own skeletons,
+which are identical.
 
 :class:`~repro.kdtree.tree.KDTree` runs :func:`build_batched` for every
 object-median tree.  Spatial-median trees have data-dependent structure,
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def _merge_parallel(fr: list, costs: list, fanout: int) -> None:
 # ----------------------------------------------------------------------
 # the skeleton: everything about a tree that does not read a coordinate
 # ----------------------------------------------------------------------
-class Skeleton:
+class Skeleton(NamedTuple):
     """The data-independent layout of one object-median tree.
 
     ``nodes`` holds ``(field, array)`` for every node array the layout
@@ -102,16 +103,13 @@ class Skeleton:
     first.  ``work`` / ``depth`` is the recursion's replayed charge.
     """
 
-    __slots__ = ("nodes", "passes", "leaf_idx", "leaf_start", "combine", "work", "depth")
-
-    def __init__(self, nodes, passes, leaf_idx, leaf_start, combine, work, depth):
-        self.nodes = nodes
-        self.passes = passes
-        self.leaf_idx = leaf_idx
-        self.leaf_start = leaf_start
-        self.combine = combine
-        self.work = work
-        self.depth = depth
+    nodes: tuple
+    passes: list
+    leaf_idx: np.ndarray
+    leaf_start: np.ndarray
+    combine: list
+    work: float
+    depth: float
 
 
 def _shifted(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
