@@ -26,6 +26,7 @@ from ..core.bbox import TouchedRegion, _LastTouched
 from ..core.points import as_array
 from ..kdtree.delete import _match_rows
 from ..kdtree.knnbuffer import KNNBuffer
+from ..kdtree.range_search import Ball, Box, range_query_regions
 from ..kdtree.tree import KDTree, OBJECT_MEDIAN
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
@@ -405,100 +406,40 @@ class BDLTree:
     # ------------------------------------------------------------------
     def range_query_box(self, lo, hi) -> np.ndarray:
         """Global ids of live points in the closed box [lo, hi]."""
-        from ..kdtree.range_search import range_query_box
-
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        parts = []
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                local = range_query_box(t, lo, hi)
-                if len(local):
-                    parts.append(t.gids[local])
-        if len(self.buf_pts):
-            charge(len(self.buf_pts))
-            mask = np.all((self.buf_pts >= lo) & (self.buf_pts <= hi), axis=1)
-            if mask.any():
-                parts.append(self.buf_gids[mask])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return self.range_query_box_batch([lo], [hi])[0]
 
     def range_query_ball(self, center, radius: float) -> np.ndarray:
         """Global ids of live points within ``radius`` of ``center``."""
-        from ..kdtree.range_search import ball_r2, range_query_ball
+        return self.range_query_ball_batch([center], [radius])[0]
 
-        c = np.asarray(center, dtype=np.float64)
-        parts = []
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                local = range_query_ball(t, c, radius)
-                if len(local):
-                    parts.append(t.gids[local])
-        if len(self.buf_pts):
-            charge(len(self.buf_pts))
-            diff = self.buf_pts - c
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            mask = d2 <= ball_r2(radius)
-            if mask.any():
-                parts.append(self.buf_gids[mask])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    # ------------------------------------------------------------------
-    # batched range search (array-at-a-time across the log-structure)
-    # ------------------------------------------------------------------
     def range_query_box_batch(self, los, his) -> list[np.ndarray]:
-        """Per-query global ids for a batch of box queries.
-
-        Each query's hits concatenate in the same order as the
-        single-query path (static trees in slot order, then the buffer
-        tree), so row ``i`` is bitwise-identical to
-        ``range_query_box(los[i], his[i])``.
-        """
-        from ..kdtree.range_search import range_query_batch
-
-        los = np.asarray(los, dtype=np.float64)
-        his = np.asarray(his, dtype=np.float64)
-        m = len(los)
-        parts: list[list[np.ndarray]] = [[] for _ in range(m)]
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                for i, local in enumerate(range_query_batch(t, los, his)):
-                    if len(local):
-                        parts[i].append(t.gids[local])
-        if len(self.buf_pts):
-            charge(m * len(self.buf_pts))
-            inside = np.all(
-                (self.buf_pts[None, :, :] >= los[:, None, :])
-                & (self.buf_pts[None, :, :] <= his[:, None, :]),
-                axis=2,
-            )
-            for i in np.flatnonzero(inside.any(axis=1)):
-                parts[i].append(self.buf_gids[inside[i]])
-        return [
-            np.concatenate(p) if p else np.empty(0, dtype=np.int64) for p in parts
-        ]
+        """Per-query global ids for a batch of box queries."""
+        return self._range(Box(los, his))
 
     def range_query_ball_batch(self, centers, radii) -> list[np.ndarray]:
         """Per-query global ids for a batch of ball queries."""
-        from ..kdtree.range_search import ball_r2s, range_query_ball_batch
+        return self._range(Ball(centers, radii))
 
-        cs = np.asarray(centers, dtype=np.float64)
-        m = len(cs)
-        rr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,))
+    def _range(self, region) -> list[np.ndarray]:
+        """Per-query global ids for a batch of region queries.
+
+        Each query's hits concatenate static trees in slot order, then
+        the buffer scan, so row ``i`` does not depend on the batch it
+        ran in.
+        """
+        m = len(region)
         parts: list[list[np.ndarray]] = [[] for _ in range(m)]
         for t in self.trees:
             if t is not None and t.size() > 0:
-                for i, local in enumerate(range_query_ball_batch(t, cs, rr)):
+                for i, local in enumerate(range_query_regions(t, region)):
                     if len(local):
                         parts[i].append(t.gids[local])
-        if len(self.buf_pts):
-            charge(m * len(self.buf_pts))
-            diff = self.buf_pts[None, :, :] - cs[:, None, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            inside = d2 <= ball_r2s(rr)[:, None]
+        nb = len(self.buf_pts)
+        if nb:
+            charge(m * nb)
+            inside = region.point_test(
+                np.tile(self.buf_pts, (m, 1)), np.repeat(np.arange(m), nb)
+            ).reshape(m, nb)
             for i in np.flatnonzero(inside.any(axis=1)):
                 parts[i].append(self.buf_gids[inside[i]])
         return [

@@ -274,7 +274,7 @@ def cmd_serve_replay(args) -> int:
         index = build_index()  # fresh index: same state as the service
         t0 = time.perf_counter()
         run_unbatched(index, trace,
-                      views=_view_computes(view_names, args) or None)
+                      views={n: _views(args)[n][1] for n in view_names} or None)
         dt = time.perf_counter() - t0
         ratio = dt / report.seconds if report.seconds > 0 else float("inf")
         print(
@@ -284,7 +284,21 @@ def cmd_serve_replay(args) -> int:
     return 0
 
 
-_VIEW_CHOICES = ("closest_pair", "dbscan", "hull2d")
+def _views(args) -> dict:
+    """View name -> (register it on a ViewManager, its from-scratch
+    ``compute(pts, gids)``: the recompute baseline)."""
+    from .views import ClosestPairView, DBSCANView, HullView, ViewManager
+
+    return {
+        "closest_pair": (ViewManager.closest_pair, ClosestPairView.compute),
+        "dbscan": (
+            lambda mgr: mgr.dbscan(eps=args.eps, min_pts=args.min_pts),
+            lambda pts, gids: DBSCANView.compute(
+                pts, gids, eps=args.eps, min_pts=args.min_pts
+            ),
+        ),
+        "hull2d": (ViewManager.hull2d, HullView.compute),
+    }
 
 
 def _parse_views(args, coords) -> tuple[str, ...]:
@@ -293,10 +307,11 @@ def _parse_views(args, coords) -> tuple[str, ...]:
     if not raw:
         return ()
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    known = _views(args)
     for n in names:
-        if n not in _VIEW_CHOICES:
+        if n not in known:
             print(f"error: unknown view {n!r} (choose from "
-                  f"{', '.join(_VIEW_CHOICES)})", file=sys.stderr)
+                  f"{', '.join(known)})", file=sys.stderr)
             raise SystemExit(2)
     if "hull2d" in names and coords.shape[1] != 2:
         print("error: the hull2d view needs 2-dimensional points",
@@ -310,30 +325,10 @@ def _attach_views(index, names, args):
     from .views import ViewManager
 
     mgr = ViewManager(index)
+    views = _views(args)
     for n in names:
-        if n == "closest_pair":
-            mgr.closest_pair()
-        elif n == "dbscan":
-            mgr.dbscan(eps=args.eps, min_pts=args.min_pts)
-        else:
-            mgr.hull2d()
+        views[n][0](mgr)
     return mgr
-
-
-def _view_computes(names, args) -> dict:
-    """name -> from-scratch ``compute(pts, gids)``: the recompute baseline."""
-    from .views import ClosestPairView, DBSCANView, HullView
-
-    out = {}
-    for n in names:
-        if n == "closest_pair":
-            out[n] = ClosestPairView.compute
-        elif n == "dbscan":
-            out[n] = (lambda pts, gids, _e=args.eps, _m=args.min_pts:
-                      DBSCANView.compute(pts, gids, eps=_e, min_pts=_m))
-        else:
-            out[n] = HullView.compute
-    return out
 
 
 def cmd_stream_bench(args) -> int:
@@ -393,7 +388,7 @@ def cmd_stream_bench(args) -> int:
     base_index = build_index()
     t0 = time.perf_counter()
     base = run_unbatched(base_index, trace,
-                         views=_view_computes(view_names, args))
+                         views={n: _views(args)[n][1] for n in view_names})
     t_base = time.perf_counter() - t0
 
     mismatches = sum(1 for a, b in zip(inc, base) if a != b)

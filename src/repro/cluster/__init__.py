@@ -15,7 +15,7 @@ it against a monolithic tree.
 from .bench import compare_cluster, compare_procs
 from .index import ShardedIndex
 from .partitioner import HilbertPartitioner
-from .router import bbox_mindist2, merge_knn, plan_ball, plan_box
+from .router import bbox_mindist2, merge_knn, plan_range
 from .shard import Shard
 from .snapshot import SnapshotManager, attach_snapshot, release_all_snapshots
 
@@ -29,7 +29,6 @@ __all__ = [
     "compare_cluster",
     "compare_procs",
     "merge_knn",
-    "plan_ball",
-    "plan_box",
+    "plan_range",
     "release_all_snapshots",
 ]

@@ -6,8 +6,9 @@ batch-dynamic :class:`~repro.cluster.shard.Shard`, and answers the full
 existing query API by scatter-gather with geometric pruning
 (:mod:`repro.cluster.router`):
 
-* **box / ball** — only shards whose bounding boxes intersect the query
-  region are visited;
+* **box / ball** — one path for both region shapes: only shards whose
+  bounding boxes the region's node test does not find disjoint are
+  visited;
 * **kNN** — two-phase: probe each query's *home shard* (the one its
   Hilbert code routes to) for a candidate k-th distance, then fan out
   only to shards whose box mindist is within that candidate ball, and
@@ -39,13 +40,13 @@ import numpy as np
 from ..core.bbox import TouchedRegion, _LastTouched
 from ..core.points import as_array
 from ..kdtree.build import shared_skeletons
-from ..kdtree.range_search import ball_r2s
+from ..kdtree.range_search import Ball, Box
 from ..obs.registry import MetricsRegistry
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
 from .partitioner import HilbertPartitioner
-from .router import bbox_mindist2, merge_knn, plan_ball, plan_box, scatter
+from .router import bbox_mindist2, merge_knn, plan_range, scatter
 from .shard import Shard
 from .snapshot import SnapshotManager
 
@@ -393,43 +394,36 @@ class ShardedIndex:
     # ------------------------------------------------------------------
     def range_query_box_batch(self, los, his) -> list[np.ndarray]:
         """Per-query global ids inside closed boxes, sorted ascending."""
-        los = np.atleast_2d(np.asarray(los, dtype=np.float64))
-        his = np.atleast_2d(np.asarray(his, dtype=np.float64))
-        m = len(los)
-        if m == 0:
-            return []
-        with span("cluster.box", cat="cluster", batch=m, shards=len(self.shards)):
-            lo, hi = self._boxes()
-            mask = plan_box(lo, hi, los, his) & self._occupied()[None, :]
-            out = self._gather_range(m, scatter(
-                mask, self.shards, self._snaps, "box", "box",
-                lambda qidx: (los[qidx], his[qidx]),
-            ))
-            self._observe(mask.sum(axis=1))
-        return out
+        return self._range(Box(np.atleast_2d(los), np.atleast_2d(his)))
 
     def range_query_ball_batch(self, centers, radii) -> list[np.ndarray]:
         """Per-query global ids within the radii, sorted ascending."""
-        cs = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-        m = len(cs)
-        if m == 0:
-            return []
-        rr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,))
-        with span("cluster.ball", cat="cluster", batch=m, shards=len(self.shards)):
-            lo, hi = self._boxes()
-            mask = plan_ball(lo, hi, cs, ball_r2s(rr)) & self._occupied()[None, :]
-            out = self._gather_range(m, scatter(
-                mask, self.shards, self._snaps, "ball", "ball",
-                lambda qidx: (cs[qidx], rr[qidx]),
-            ))
-            self._observe(mask.sum(axis=1))
-        return out
+        return self._range(Ball(np.atleast_2d(centers), radii))
 
     def range_query_box(self, lo, hi) -> np.ndarray:
         return self.range_query_box_batch([lo], [hi])[0]
 
     def range_query_ball(self, center, radius: float) -> np.ndarray:
         return self.range_query_ball_batch([center], [radius])[0]
+
+    def _range(self, region) -> list[np.ndarray]:
+        """Plan, scatter and gather one region batch.
+
+        Each planned shard's slab is the sub-batch of its queries, run
+        through the shard tree's ``range_query_<label>_batch``.
+        """
+        m = len(region)
+        if m == 0:
+            return []
+        label = region.label
+        with span(f"cluster.{label}", cat="cluster", batch=m, shards=len(self.shards)):
+            mask = plan_range(region, *self._boxes()) & self._occupied()[None, :]
+            out = self._gather_range(m, scatter(
+                mask, self.shards, self._snaps, label, label,
+                lambda qidx: region.take(qidx).args,
+            ))
+            self._observe(mask.sum(axis=1))
+        return out
 
     @staticmethod
     def _gather_range(m: int, parts) -> list[np.ndarray]:

@@ -72,8 +72,8 @@ def query_slab(tree, slot: int, kind: str, label: str, args, trace_ids):
     out of the batch:
 
     * ``"knn"``  — ``(queries, kk, bound_or_None)``
-    * ``"box"``  — ``(los, his)``
-    * ``"ball"`` — ``(centers, radii)``
+    * ``"box"``  — ``(los, his)``, run by ``tree.range_query_box_batch``
+    * ``"ball"`` — ``(centers, radii)``, by ``tree.range_query_ball_batch``
 
     ``trace_ids`` names the serving requests the slab computes for; the
     span carries them, so every backend's lanes name their requests.
@@ -84,12 +84,8 @@ def query_slab(tree, slot: int, kind: str, label: str, args, trace_ids):
         if kind == "knn":
             qs, kk, bound = args
             return tree.knn(qs, kk, exclude_self=False, bound=bound)
-        if kind == "box":
-            los, his = args
-            return tree.range_query_box_batch(los, his)
-        if kind == "ball":
-            cs, rr = args
-            return tree.range_query_ball_batch(cs, rr)
+        if kind in ("box", "ball"):
+            return getattr(tree, f"range_query_{kind}_batch")(*args)
         raise ValueError(f"unknown slab kind {kind!r}")
 
 

@@ -3,9 +3,10 @@
 The router's job is twofold:
 
 * **Plan** — decide, per query, which shards can possibly contribute.
-  Box/ball queries visit only shards whose bounding boxes intersect the
-  query region; kNN fans out to shards whose box mindist is within the
-  candidate k-th distance established by a home-shard probe (see
+  Box/ball queries visit only shards whose bounding boxes the query
+  region's node test does not find disjoint (:func:`plan_range`); kNN
+  fans out to shards whose box mindist is within the candidate k-th
+  distance established by a home-shard probe (see
   :mod:`repro.cluster.index`).  Plans are (m, n_shards) boolean masks
   computed by one vectorized box-arithmetic pass.
 * **Execute** — run one slab per planned shard and charge the slabs as
@@ -37,8 +38,7 @@ from .procwork import query_slab
 __all__ = [
     "bbox_mindist2",
     "merge_knn",
-    "plan_ball",
-    "plan_box",
+    "plan_range",
     "scatter",
 ]
 
@@ -55,21 +55,19 @@ def bbox_mindist2(lo: np.ndarray, hi: np.ndarray, queries: np.ndarray) -> np.nda
     return np.einsum("qsd,qsd->qs", gap, gap)
 
 
-def plan_box(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
-    """(m, S) mask: does shard s's box intersect query box i?"""
-    miss = np.any(lo[None, :, :] > qhi[:, None, :], axis=2) | np.any(
-        hi[None, :, :] < qlo[:, None, :], axis=2
-    )
-    return ~miss
+def plan_range(region, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(m, S) mask: can shard s's box hold a hit of query i of ``region``?
 
-
-def plan_ball(lo: np.ndarray, hi: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """(m, S) mask: does shard s's box intersect ball i (radius² r2)?
-
-    ``r2`` comes from :func:`~repro.kdtree.range_search.ball_r2s`: a
-    negative radius is ``-inf`` there and plans no shard at all.
+    ``region`` is a :class:`~repro.kdtree.range_search.Box` or
+    :class:`~repro.kdtree.range_search.Ball` batch; a shard is planned
+    unless the region's node test finds its box disjoint (a ball of
+    negative radius plans no shard at all).
     """
-    return bbox_mindist2(lo, hi, centers) <= r2[:, None]
+    m, S = len(region), len(lo)
+    disjoint, _ = region.node_test(
+        np.tile(lo, (m, 1)), np.tile(hi, (m, 1)), np.repeat(np.arange(m), S)
+    )
+    return ~disjoint.reshape(m, S)
 
 
 def scatter(

@@ -191,10 +191,8 @@ class Frontend:
     flight / slo:
         Inject a pre-built :class:`~repro.obs.rtrace.FlightRecorder` /
         :class:`~repro.obs.slo.SLOTracker` (tests use tiny capacities
-        and fake clocks); defaults are created when ``rtrace`` is on.
-    flight_capacity / tail_frac:
-        Flight-recorder ring size and the retained latency tail
-        fraction (0.10 = slowest decile) for the default recorder.
+        and fake clocks); defaults are created when ``rtrace`` is on
+        (the default recorder keeps 512 records and the slowest decile).
     """
 
     def __init__(
@@ -211,8 +209,6 @@ class Frontend:
         rtrace: bool = True,
         flight: FlightRecorder | None = None,
         slo: SLOTracker | None = None,
-        flight_capacity: int = 512,
-        tail_frac: float = 0.10,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -281,8 +277,8 @@ class Frontend:
         self.slo: SLOTracker | None = None
         self._h_latency = self._h_phase = None
         if self._rtrace:
-            self.flight = flight if flight is not None else FlightRecorder(
-                capacity=flight_capacity, tail_frac=tail_frac, registry=reg
+            self.flight = (
+                flight if flight is not None else FlightRecorder(registry=reg)
             )
             self.slo = slo if slo is not None else SLOTracker(
                 clock=clock, registry=reg

@@ -19,8 +19,9 @@ the recursive path, so results are bitwise-equal and the work/depth
 charges match.
 
 **Range search** has no adaptive bound, so it uses a plain breadth-
-first frontier; emitted hits are re-ordered by permutation position,
-which is exactly the DFS emission order of the recursive collector.
+first frontier, one for box and ball alike: the query region's node
+and point tests (:mod:`.range_search`) prune, take whole and filter
+leaves; hits are re-ordered by permutation position, the DFS order.
 
 **Cost accounting** is charged per visit into per-query accumulators
 (same constants as the recursive path charges per node), then composed
@@ -56,7 +57,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.primitives import query_blocks
 from ..parlay.workdepth import charge, charge_blocked
-from .range_search import ball_r2s, range_query_ball_batch, range_query_batch
+from .range_search import Ball, Box, range_query_regions
 from .tree import KDTree
 
 __all__ = [
@@ -499,11 +500,11 @@ def _split_hits(m: int, hq: list, hp: list, perm: np.ndarray) -> list[np.ndarray
     return results
 
 
-def batched_range_query_batch(tree: KDTree, los, his, grain: int = 16) -> list[np.ndarray]:
-    """Array-at-a-time batch of orthogonal (box) range queries."""
-    los = np.asarray(los, dtype=np.float64)
-    his = np.asarray(his, dtype=np.float64)
-    m = len(los)
+def _batched_range(tree: KDTree, region, grain: int = 16) -> list[np.ndarray]:
+    """Array-at-a-time batch of ``region`` queries (a :class:`Box` or
+    :class:`Ball` batch): one breadth-first frontier of (query, node)
+    pairs, pruned and taken whole by ``region.node_test``."""
+    m = len(region)
     blocks = query_blocks(m, grain=grain)
     if not blocks:
         return []
@@ -513,32 +514,27 @@ def batched_range_query_batch(tree: KDTree, los, his, grain: int = 16) -> list[n
     hp: list = []
     d = tree.dim
 
-    with span("kdtree.batch.box", batch=m):
+    with span(f"kdtree.batch.{region.label}", batch=m):
         if tree.root >= 0 and tree.live[tree.root] > 0:
             fq = np.arange(m, dtype=np.int64)
             fn = np.full(m, tree.root, dtype=np.int64)
             while len(fq):
                 np.add.at(qwork, fq, 2 * d + 4)
                 np.add.at(qdepth, fq, 1.0)
-                nlo = tree.box_lo[fn]
-                nhi = tree.box_hi[fn]
-                qlo = los[fq]
-                qhi = his[fq]
-                keep = ~(np.any(nlo > qhi, axis=1) | np.any(nhi < qlo, axis=1))
-                fq, fn = fq[keep], fn[keep]
-                nlo, nhi, qlo, qhi = nlo[keep], nhi[keep], qlo[keep], qhi[keep]
+                disjoint, contained = region.node_test(
+                    tree.box_lo[fn], tree.box_hi[fn], fq
+                )
+                fq, fn, contained = fq[~disjoint], fn[~disjoint], contained[~disjoint]
                 if not len(fq):
                     break
-                contained = np.all(nlo >= qlo, axis=1) & np.all(nhi <= qhi, axis=1)
                 crow, cnode = fq[contained], fn[contained]
                 if len(crow):
                     _emit_whole(tree, crow, cnode, hq, hp)
                 fq, fn = fq[~contained], fn[~contained]
-                qlo, qhi = qlo[~contained], qhi[~contained]
                 leaf = tree.is_leaf[fn]
                 lrow, lnode = fq[leaf], fn[leaf]
                 if len(lrow):
-                    _emit_leaf_box(tree, los, his, lrow, lnode, hq, hp, qwork, qdepth)
+                    _emit_leaf(tree, region, lrow, lnode, hq, hp, qwork, qdepth)
                 fq, fn = fq[~leaf], fn[~leaf]
                 nxt_q = []
                 nxt_n = []
@@ -554,6 +550,18 @@ def batched_range_query_batch(tree: KDTree, los, his, grain: int = 16) -> list[n
     return results
 
 
+def batched_range_query_batch(tree: KDTree, los, his, grain: int = 16) -> list[np.ndarray]:
+    """Array-at-a-time batch of orthogonal (box) range queries."""
+    return _batched_range(tree, Box(los, his), grain)
+
+
+def batched_range_query_ball_batch(
+    tree: KDTree, centers, radii, grain: int = 16
+) -> list[np.ndarray]:
+    """Array-at-a-time batch of spherical range queries."""
+    return _batched_range(tree, Ball(centers, radii), grain)
+
+
 def _emit_whole(tree, rows, nodes, hq, hp) -> None:
     """Emit every live point under each node (contained case; uncharged,
     matching ``node_points`` in the recursive collector)."""
@@ -566,7 +574,9 @@ def _emit_whole(tree, rows, nodes, hq, hp) -> None:
     hp.append(pos[am])
 
 
-def _emit_leaf_box(tree, los, his, rows, nodes, hq, hp, qwork, qdepth) -> None:
+def _emit_leaf(tree, region, rows, nodes, hq, hp, qwork, qdepth) -> None:
+    """Emit the live points of each leaf that pass ``region.point_test``
+    for its query row, charging the recursive collector's leaf scan."""
     start = tree.start[nodes]
     lens = tree.end[nodes] - start
     rowrep = np.repeat(rows, lens)
@@ -583,67 +593,9 @@ def _emit_leaf_box(tree, los, his, rows, nodes, hq, hp, qwork, qdepth) -> None:
     w = klen[nz] * tree.dim
     np.add.at(qwork, rows[nz], w)
     np.add.at(qdepth, rows[nz], _charge_like(w))
-    pts = tree.points[pids]
-    inside = np.all((pts >= los[rowrep]) & (pts <= his[rowrep]), axis=1)
+    inside = region.point_test(tree.points[pids], rowrep)
     hq.append(rowrep[inside])
     hp.append(pos[inside])
-
-
-def batched_range_query_ball_batch(
-    tree: KDTree, centers, radii, grain: int = 16
-) -> list[np.ndarray]:
-    """Array-at-a-time batch of spherical range queries."""
-    cs = np.asarray(centers, dtype=np.float64)
-    m = len(cs)
-    r2 = ball_r2s(np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,)))
-    blocks = query_blocks(m, grain=grain)
-    if not blocks:
-        return []
-    qwork = np.zeros(m, dtype=np.float64)
-    qdepth = np.zeros(m, dtype=np.float64)
-    hq: list = []
-    hp: list = []
-    d = tree.dim
-
-    with span("kdtree.batch.ball", batch=m):
-        if tree.root >= 0 and tree.live[tree.root] > 0:
-            fq = np.arange(m, dtype=np.int64)
-            fn = np.full(m, tree.root, dtype=np.int64)
-            while len(fq):
-                np.add.at(qwork, fq, 2 * d + 4)
-                np.add.at(qdepth, fq, 1.0)
-                nlo = tree.box_lo[fn]
-                nhi = tree.box_hi[fn]
-                c = cs[fq]
-                gap = np.maximum(nlo - c, 0.0) + np.maximum(c - nhi, 0.0)
-                keep = np.einsum("ij,ij->i", gap, gap) <= r2[fq]
-                fq, fn = fq[keep], fn[keep]
-                nlo, nhi, c = nlo[keep], nhi[keep], c[keep]
-                if not len(fq):
-                    break
-                far = np.maximum(np.abs(c - nlo), np.abs(c - nhi))
-                contained = np.einsum("ij,ij->i", far, far) <= r2[fq]
-                crow, cnode = fq[contained], fn[contained]
-                if len(crow):
-                    _emit_whole(tree, crow, cnode, hq, hp)
-                fq, fn = fq[~contained], fn[~contained]
-                leaf = tree.is_leaf[fn]
-                lrow, lnode = fq[leaf], fn[leaf]
-                if len(lrow):
-                    _emit_leaf_ball(tree, cs, r2, lrow, lnode, hq, hp, qwork, qdepth)
-                fq, fn = fq[~leaf], fn[~leaf]
-                nxt_q = []
-                nxt_n = []
-                for child in (tree.left[fn], tree.right[fn]):
-                    ok = (child >= 0) & (_live_at(tree, child) > 0)
-                    nxt_q.append(fq[ok])
-                    nxt_n.append(child[ok])
-                fq = np.concatenate(nxt_q)
-                fn = np.concatenate(nxt_n)
-
-        results = _split_hits(m, hq, hp, tree.perm)
-        charge_blocked(qwork, qdepth, blocks)
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -665,19 +617,24 @@ def batched_allnn_on_tree(tree: KDTree) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(d[:, 0]), i[:, 0]
 
 
-def _range_box_results(index, los: np.ndarray, his: np.ndarray) -> list[np.ndarray]:
-    """Per-query global-id hits for a box batch on a KDTree or BDL index."""
+def _range_results(index, region) -> list[np.ndarray]:
+    """Per-query global-id hits for a region batch on a KDTree or a
+    BDL-style index (through its ``range_query_<label>_batch``)."""
     if isinstance(index, KDTree):
-        return [index.gids[ids] for ids in range_query_batch(index, los, his)]
-    return index.range_query_box_batch(los, his)
+        return [index.gids[ids] for ids in range_query_regions(index, region)]
+    return getattr(index, f"range_query_{region.label}_batch")(*region.args)
 
 
-def _range_ball_results(index, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
-    if isinstance(index, KDTree):
-        return [
-            index.gids[ids] for ids in range_query_ball_batch(index, centers, radii)
-        ]
-    return index.range_query_ball_batch(centers, radii)
+#: request kind -> the region batch a group's payloads describe
+_REQUEST_REGIONS = {
+    "box": lambda boxes: Box(
+        *np.stack([np.asarray(b, dtype=np.float64) for b in boxes]).transpose(1, 0, 2)
+    ),
+    "ball": lambda balls: Ball(
+        np.stack([np.asarray(c, dtype=np.float64) for c, _ in balls]),
+        [float(r) for _, r in balls],
+    ),
+}
 
 
 def execute_requests(index, requests, costs_out: list | None = None,
@@ -781,21 +738,10 @@ def _run_group(index, requests, results, kind, params, idxs) -> None:
         )
         for r, i in enumerate(idxs):
             results[i] = (d[r].copy(), g[r].copy())
-    elif kind == "box":
-        boxes = np.stack(
-            [np.asarray(requests[i][1], dtype=np.float64) for i in idxs]
-        )
-        hits = _range_box_results(index, boxes[:, 0, :], boxes[:, 1, :])
-        for r, i in enumerate(idxs):
-            results[i] = hits[r]
-    elif kind == "ball":
-        centers = np.stack(
-            [np.asarray(requests[i][1][0], dtype=np.float64) for i in idxs]
-        )
-        radii = np.array([float(requests[i][1][1]) for i in idxs])
-        hits = _range_ball_results(index, centers, radii)
-        for r, i in enumerate(idxs):
-            results[i] = hits[r]
+    elif kind in _REQUEST_REGIONS:
+        region = _REQUEST_REGIONS[kind]([requests[i][1] for i in idxs])
+        for i, hits in zip(idxs, _range_results(index, region)):
+            results[i] = hits
     elif kind == "allnn":
         if not isinstance(index, KDTree):
             raise ValueError("allnn requests require a static KDTree dataset")
@@ -813,27 +759,3 @@ def _run_group(index, requests, results, kind, params, idxs) -> None:
             results[i] = shared
     else:
         raise ValueError(f"unknown request kind {kind!r}")
-
-
-def _emit_leaf_ball(tree, cs, r2, rows, nodes, hq, hp, qwork, qdepth) -> None:
-    start = tree.start[nodes]
-    lens = tree.end[nodes] - start
-    rowrep = np.repeat(rows, lens)
-    pos = np.repeat(start, lens) + _ragged_arange(lens)
-    pids = tree.perm[pos]
-    am = tree.alive[pids]
-    pos, pids, rowrep = pos[am], pids[am], rowrep[am]
-    klen = np.bincount(
-        np.repeat(np.arange(len(rows), dtype=np.int64), lens)[am], minlength=len(rows)
-    )
-    nz = klen > 0
-    if not np.any(nz):
-        return
-    w = klen[nz] * tree.dim
-    np.add.at(qwork, rows[nz], w)
-    np.add.at(qdepth, rows[nz], _charge_like(w))
-    diff = tree.points[pids] - cs[rowrep]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    inside = d2 <= r2[rowrep]
-    hq.append(rowrep[inside])
-    hp.append(pos[inside])

@@ -5,8 +5,10 @@ again — the hull only grows outward under insertion — so the candidate
 set for the new hull is exactly ``old hull vertices ∪ inserted batch``,
 and each insert repair runs the normalizing monotone chain over that
 hull-sized input instead of the whole live set.  Deletion of a hull
-coordinate triggers a counted *filtered rebuild* (recompute over the
-surviving mirror); deleting interior coordinates is free —
+coordinate triggers a counted *filtered rebuild*: the Akl–Toussaint
+filter runs over the surviving mirror's rows, and only its survivors
+are lex-sorted and deduplicated for the chain; deleting interior
+coordinates is free —
 Carathéodory: every non-vertex lies in the convex hull of the vertex
 set alone, so removing non-vertex rows leaves the vertex set intact.
 
@@ -112,17 +114,17 @@ class HullView(MaterializedView):
         pts, gids = mirror.live()
         if pts.size and pts.shape[1] != 2:
             raise ValueError("hull view requires 2-dimensional points")
-        p, g = _dedup_lex(pts.reshape(-1, 2), gids)
-        if len(p) >= 3:
-            # Akl–Toussaint filter-first: certainly-interior coords can
-            # never be strict-hull vertices, so dropping them leaves the
-            # normalizing chain's answer bitwise-identical (the kept
-            # rows stay lex-sorted) while the scalar chain walks a
-            # hull-sized input instead of the whole live set
-            keep = at_filter(p)
+        pts = pts.reshape(-1, 2)
+        if len(pts) >= 3:
+            # Akl–Toussaint filter-first, on the live rows: certainly-
+            # interior points can never be strict-hull vertices, and the
+            # filter decides by coordinate (every row at a coordinate
+            # gets one verdict), so the sort and dedup below see a
+            # hull-sized input and still keep each survivor's min gid
+            keep = at_filter(pts)
             if not keep.all():
-                p, g = p[keep], g[keep]
-        self._set_answer(p, g)
+                pts, gids = pts[keep], gids[keep]
+        self._set_answer(*_dedup_lex(pts, gids))
 
     # ------------------------------------------------------------------
     # incremental maintenance

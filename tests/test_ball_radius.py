@@ -3,7 +3,7 @@
 A ball of negative radius holds no point: ``||p - c|| <= r < 0`` is
 never true.  Every engine that answers a ball query -- the per-query
 walk, the lock-step engine, the BDL-tree's buffer scan, the sharded
-router's ``plan_ball``, ``execute_requests`` and ``Frontend.ball`` --
+router's ``plan_range``, ``execute_requests`` and ``Frontend.ball`` --
 must return the empty set for it, and the walk and lock-step engines
 must still charge the same work and depth.
 """
@@ -15,11 +15,12 @@ import pytest
 
 from repro.bdl import BDLTree
 from repro.cluster import ShardedIndex
-from repro.cluster.router import plan_ball
+from repro.cluster.router import plan_range
 from repro.frontend import Frontend
 from repro.kdtree import KDTree
 from repro.kdtree.batch import execute_requests
 from repro.kdtree.range_search import (
+    Ball,
     ball_r2,
     ball_r2s,
     range_query_ball,
@@ -99,7 +100,7 @@ def test_sharded_plan_and_execute_requests(r):
     gids = np.arange(len(pts))
     c = np.array([30.0, 70.0])
     lo, hi = idx._boxes()
-    plan = plan_ball(lo, hi, c[None], ball_r2s([r]))
+    plan = plan_range(Ball(c[None], [r]), lo, hi)
     if r < 0:
         assert not plan.any()
     for index in (idx, KDTree(pts)):

@@ -18,11 +18,11 @@ from repro.cluster import (
     ShardedIndex,
     bbox_mindist2,
     merge_knn,
-    plan_ball,
-    plan_box,
+    plan_range,
 )
 from repro.kdtree import KDTree
 from repro.kdtree.batch import batched_range_query_ball_batch
+from repro.kdtree.range_search import Ball, Box
 
 from ._engines import forced_engine
 from ._hilbert_reference import (
@@ -142,9 +142,9 @@ class TestRouter:
     def test_plan_box_and_ball(self):
         lo = np.array([[0.0, 0.0], [5.0, 5.0]])
         hi = np.array([[1.0, 1.0], [6.0, 6.0]])
-        m = plan_box(lo, hi, np.array([[0.5, 0.5]]), np.array([[2.0, 2.0]]))
+        m = plan_range(Box([[0.5, 0.5]], [[2.0, 2.0]]), lo, hi)
         assert m.tolist() == [[True, False]]
-        b = plan_ball(lo, hi, np.array([[2.0, 1.0]]), np.array([1.0]))
+        b = plan_range(Ball([[2.0, 1.0]], [1.0]), lo, hi)
         assert b.tolist() == [[True, False]]
 
     def test_merge_knn_canonical_and_padded(self):
