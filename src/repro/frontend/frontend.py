@@ -138,7 +138,6 @@ class _Tenant:
     index: object
     weight: float
     bucket: TokenBucket
-    max_depth: int
     degradable: bool
     queue: deque = field(default_factory=deque)
     # per-tenant metric children resolved once at registration, so the
@@ -180,19 +179,15 @@ class Frontend:
     clock:
         Injectable monotonic clock (tests drive quotas deterministically).
     rtrace:
-        Request tracing: mint one :class:`~repro.obs.rtrace.RequestTrace`
-        per request, decompose every answer into the six phases
-        (queue_wait / dispatch / compute / view_repair / merge / cache
-        — they sum to the measured latency), feed the always-on
-        tail-sampling flight recorder and the per-tenant SLO tracker,
-        and publish phase histograms with exemplar trace ids.  On by
-        default; ``rtrace=False`` is the zero-overhead baseline the
-        ``BENCH_rtrace.json`` gate compares against.
-    flight / slo:
-        Inject a pre-built :class:`~repro.obs.rtrace.FlightRecorder` /
-        :class:`~repro.obs.slo.SLOTracker` (tests use tiny capacities
-        and fake clocks); defaults are created when ``rtrace`` is on
-        (the default recorder keeps 512 records and the slowest decile).
+        Request tracing: give each request's record a trace id, return
+        it as :attr:`Reply.trace`, feed the always-on tail-sampling
+        flight recorder (512 records, the slowest decile) and the
+        per-tenant SLO tracker, and publish latency and phase
+        histograms with exemplar trace ids.  On by default;
+        ``rtrace=False`` is the baseline the ``BENCH_rtrace.json`` gate
+        compares against.  Either way every request gets one
+        :class:`~repro.obs.rtrace.RequestTrace`, closed and booked by
+        ``_finish``: the per-tenant counters are read off it.
     """
 
     def __init__(
@@ -207,8 +202,6 @@ class Frontend:
         registry: MetricsRegistry | None = None,
         clock=time.monotonic,
         rtrace: bool = True,
-        flight: FlightRecorder | None = None,
-        slo: SLOTracker | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -235,10 +228,10 @@ class Frontend:
         self._g_depth_total = reg.gauge(
             "frontend_queue_depth_total", "front-end queue depth, all tenants"
         ).set_function(lambda: sum(len(t.queue) for t in self._tenants.values()))
-        self._g_state = reg.gauge(
+        reg.gauge(
             "frontend_admission_state",
             "admission state (0=normal, 1=degraded, 2=overloaded)",
-        )
+        ).set_function(lambda: _STATE_CODE[self.admission.state])
         self._g_hit_rate = reg.gauge(
             "frontend_hit_rate", "per-tenant result-cache hit rate",
             labels=("tenant",),
@@ -272,17 +265,13 @@ class Frontend:
         )
 
         # request tracing: flight recorder + SLOs + phase histograms
-        self._rtrace = bool(rtrace) or flight is not None or slo is not None
+        self._rtrace = bool(rtrace)
         self.flight: FlightRecorder | None = None
         self.slo: SLOTracker | None = None
         self._h_latency = self._h_phase = None
         if self._rtrace:
-            self.flight = (
-                flight if flight is not None else FlightRecorder(registry=reg)
-            )
-            self.slo = slo if slo is not None else SLOTracker(
-                clock=clock, registry=reg
-            )
+            self.flight = FlightRecorder(registry=reg)
+            self.slo = SLOTracker(clock=clock, registry=reg)
             self._h_latency = reg.histogram(
                 "frontend_latency_seconds",
                 "end-to-end request latency per tenant",
@@ -320,15 +309,13 @@ class Frontend:
         weight: float = 1.0,
         rate: float | None = None,
         burst: float | None = None,
-        max_depth: int | None = None,
         slo: Objective | None = None,
     ) -> None:
         """Register a tenant owning ``index`` under ``name``.
 
         ``weight`` is the fair-dispatch share; ``rate``/``burst`` the
         token-bucket quota in requests/second (None = unlimited);
-        ``max_depth`` a per-tenant queue bound (defaults to the
-        front-end's ``queue_depth``); ``slo`` the tenant's
+        ``slo`` the tenant's
         latency/availability :class:`~repro.obs.slo.Objective` (a
         default objective is registered when request tracing is on).
         """
@@ -342,7 +329,6 @@ class Frontend:
             index=index,
             weight=float(weight),
             bucket=TokenBucket(rate, burst, clock=self._clock),
-            max_depth=int(max_depth) if max_depth is not None else self.queue_depth,
             degradable=hasattr(index, "knn_home"),
         )
         t.m_requests = self._c_requests.labels(name)
@@ -351,9 +337,17 @@ class Frontend:
         t.m_degraded = self._c_degraded.labels(name)
         t.m_rejected = self._c_rejected.labels(name)
         t.m_quota = self._c_quota.labels(name)
-        if self._h_latency is not None:
-            t.m_latency = self._h_latency.labels(name)
-            t.m_phase = {p: self._h_phase.labels(name, p) for p in PHASES}
+        if self._rtrace:
+            # exemplars name retained traces only; one the recorder has
+            # evicted since is dropped from the exposition
+            def resolves(ex):
+                return self.flight.lookup(ex["trace_id"]) is not None
+
+            t.m_latency = self._h_latency.labels(name).keep_exemplars(resolves)
+            t.m_phase = {
+                p: self._h_phase.labels(name, p).keep_exemplars(resolves)
+                for p in PHASES
+            }
         self._tenants[name] = t
         self._sched.add(name, weight)
         self._g_depth.labels(name).set_function(lambda t=t: len(t.queue))
@@ -485,48 +479,64 @@ class Frontend:
 
     def _finish(self, t, trt, outcome="ok", *, queue_wait=0.0, compute=None,
                 view_repair=0.0, approximate=False, error=None):
-        """Close one request's record and score it; returns the record.
+        """Close one request's record and book it: the one booking path.
 
         Sets ``latency``, ``outcome`` and ``error``.  An ``ok`` request's
         phases close over its ``queue_wait``, the ``compute`` / ``merge``
         seconds the service wrote (``compute`` overrides them on the
         degraded and mutation paths) and a cache hit's post-queue time,
         with ``dispatch`` the residual (:meth:`_phase_split`); a shed or
-        timed-out request spent its whole latency queued.  The record is
-        offered to the flight recorder and scored in the latency / phase
-        histograms and the SLO tracker.  Returns None with request
-        tracing off (``trt`` is None).
+        timed-out request spent its whole latency queued.  The tenant's
+        counters are read off the closed record (completed, cache hits,
+        degraded, shed, and quota sheds by the error the record
+        carries); with request tracing on the record is also offered to
+        the flight recorder and scored in the latency / phase
+        histograms and the SLO tracker.  Returns the record as the
+        reply's ``trace``, or None with request tracing off.
         """
-        if trt is None:
-            return None
         latency = self._clock() - trt.t_start
         trt.latency = latency
         trt.outcome = outcome
-        if outcome != "ok":
+        if outcome == "ok":
+            qw = min(max(queue_wait, 0.0), latency)
+            ph = trt.phases
+            if compute is None:
+                compute = ph.get("compute", 0.0)
+            cache = max(latency - qw, 0.0) if trt.cache_hit else 0.0
+            trt.approximate = approximate
+            trt.phases = self._phase_split(
+                latency, qw, compute, ph.get("merge", 0.0), cache, view_repair
+            )
+            t.m_completed.inc()
+            if trt.cache_hit:
+                t.m_hits.inc()
+            if approximate:
+                t.m_degraded.inc()
+        else:
             trt.phases = {} if outcome == "error" else {"queue_wait": latency}
             trt.error = repr(error) if error is not None else None
-            self.flight.observe(trt)
+            if outcome == "shed":
+                t.m_rejected.inc()
+                if isinstance(error, QuotaExceeded):
+                    t.m_quota.inc()
+        if not self._rtrace:
+            return None
+        reason = self.flight.observe(trt)
+        if outcome != "ok":
             self.slo.record(t.name, latency=None)
             return trt
-        qw = min(max(queue_wait, 0.0), latency)
-        ph = trt.phases
-        if compute is None:
-            compute = ph.get("compute", 0.0)
-        cache = max(latency - qw, 0.0) if trt.cache_hit else 0.0
-        trt.approximate = approximate
-        trt.phases = ph = self._phase_split(
-            latency, qw, compute, ph.get("merge", 0.0), cache, view_repair
-        )
-        reason = self.flight.observe(trt)
-        # exemplars only for retained traces, so every exemplar in the
-        # exposition resolves to a trace the flight recorder can replay
         ex = {"trace_id": trt.trace_id} if reason else None
         t.m_latency.observe(latency, exemplar=ex)
         m_phase = t.m_phase
         for p in PHASES:
-            m_phase[p].observe(ph[p], exemplar=ex)
+            m_phase[p].observe(trt.phases[p], exemplar=ex)
         self.slo.record(t.name, latency=latency)
         return trt
+
+    def _shed(self, t, trt, error):
+        """Close a shed request's record; returns the error to raise."""
+        self._finish(t, trt, "shed", error=error)
+        return error
 
     async def _submit(self, tenant, kind, payload, kw, timeout) -> Reply:
         if self._closed or self._closing:
@@ -535,16 +545,13 @@ class Frontend:
         if t is None:
             raise UnknownTenant(tenant)
         t.m_requests.inc()
-        trt = (RequestTrace(new_trace_id(), tenant, kind, self._clock())
-               if self._rtrace else None)
+        trt = RequestTrace(new_trace_id() if self._rtrace else None,
+                           tenant, kind, self._clock())
 
         # per-tenant quota: all-or-nothing token take, exact retry-after
         wait = t.bucket.try_acquire()
         if wait > 0.0:
-            t.m_quota.inc()
-            t.m_rejected.inc()
-            self._finish(t, trt, "shed")
-            raise QuotaExceeded(tenant, wait)
+            raise self._shed(t, trt, QuotaExceeded(tenant, wait))
 
         # depth-driven admission state machine.  In OVERLOADED only the
         # tenants at/above their weighted fair share of the queue budget
@@ -552,20 +559,15 @@ class Frontend:
         # served (degraded when possible) no matter how hard a heavy
         # tenant floods the shared front-end.
         decision = self.admission.decide()
-        self._g_state.set(_STATE_CODE[decision.state])
         if not decision.admit and len(t.queue) >= self._fair_share(t):
-            t.m_rejected.inc()
-            self._finish(t, trt, "shed")
-            raise Overloaded(
+            raise self._shed(t, trt, Overloaded(
                 decision.depth, self.admission.reject_at, decision.retry_after
-            )
-        if len(t.queue) >= t.max_depth:
-            t.m_rejected.inc()
-            self._finish(t, trt, "shed")
-            raise Overloaded(
-                len(t.queue), t.max_depth, decision.retry_after
+            ))
+        if len(t.queue) >= self.queue_depth:
+            raise self._shed(t, trt, Overloaded(
+                len(t.queue), self.queue_depth, decision.retry_after
                 or self.admission._retry_after(len(t.queue))
-            )
+            ))
         degraded = decision.state != NORMAL and kind == "knn" and t.degradable
 
         loop = asyncio.get_running_loop()
@@ -686,7 +688,6 @@ class Frontend:
             return
         wall = self._clock() - a0
         repair = mgr.last_stats["repair_s"] if mgr is not None else 0.0
-        t.m_completed.inc()
         qw = t0 - r.enqueued_at
         out[id(r)] = (True, Reply(
             value=(value, int(getattr(t.index, "version", 0))),
@@ -711,14 +712,10 @@ class Frontend:
                     out[id(r)] = (False, o.error)
                     self._finish(t, r.trace, "error", error=o.error)
                     continue
-                hit = o.trace.cache_hit
-                if hit:
-                    t.m_hits.inc()
-                t.m_completed.inc()
                 qw = t0 - r.enqueued_at
                 out[id(r)] = (True, Reply(
                     value=o.value, approximate=False, tenant=t.name,
-                    kind=r.kind, queue_wait=qw, cache_hit=hit,
+                    kind=r.kind, queue_wait=qw, cache_hit=o.trace.cache_hit,
                     trace=self._finish(t, r.trace, queue_wait=qw),
                 ))
 
@@ -742,8 +739,6 @@ class Frontend:
                     continue
                 group_share = (self._clock() - t_g0) / len(reqs)
                 for i, r in enumerate(reqs):
-                    t.m_degraded.inc()
-                    t.m_completed.inc()
                     qw = t0 - r.enqueued_at
                     out[id(r)] = (True, Reply(
                         value=(d2[i], gid[i]), approximate=True,

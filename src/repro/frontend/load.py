@@ -191,9 +191,9 @@ class _Recorder:
 
 
 async def _issue(frontend, load: TenantLoad, op: dict, rec: _Recorder,
-                 samples: list, max_samples: int, clock) -> None:
+                 samples: list, max_samples: int) -> None:
     rec.rep.offered += 1
-    t0 = clock()
+    t0 = time.monotonic()
     try:
         kind = op.get("op")
         if kind == "knn":
@@ -227,7 +227,7 @@ async def _issue(frontend, load: TenantLoad, op: dict, rec: _Recorder,
     except Exception:
         rec.rep.errors += 1
         return
-    rec.latencies.append(clock() - t0)
+    rec.latencies.append(time.monotonic() - t0)
     rec.rep.completed += 1
     if reply.trace is not None:
         for ph, v in reply.trace.phases.items():
@@ -248,24 +248,24 @@ async def _issue(frontend, load: TenantLoad, op: dict, rec: _Recorder,
 
 
 async def _drive(frontend, load: TenantLoad, rec: _Recorder, samples,
-                 max_samples, time_scale: float, watermark, clock) -> None:
+                 max_samples, watermark) -> None:
     """Fire one tenant's trace on its open-loop schedule."""
     offs = open_loop_arrivals(
         len(load.trace), load.rate,
         pattern=load.pattern, burst_factor=load.burst_factor,
         burst_frac=load.burst_frac, seed=load.seed,
     )
-    start = clock()
+    start = time.monotonic()
     # finished tasks leave the set: a long overload run does not keep
     # every request's task alive for the garbage collector to rescan
     tasks = set()
     for op, off in zip(load.trace, offs):
-        delay = off * time_scale - (clock() - start)
+        delay = off - (time.monotonic() - start)
         if delay > 0:
             await asyncio.sleep(delay)
         # open loop: issue unconditionally, never wait for completion
         task = asyncio.ensure_future(
-            _issue(frontend, load, op, rec, samples, max_samples, clock)
+            _issue(frontend, load, op, rec, samples, max_samples)
         )
         tasks.add(task)
         task.add_done_callback(tasks.discard)
@@ -278,15 +278,11 @@ async def run_open_loop(
     frontend,
     loads: list[TenantLoad],
     *,
-    time_scale: float = 1.0,
     max_degraded_samples: int = 64,
-    clock=time.monotonic,
 ) -> LoadReport:
     """Run all tenant loads concurrently; returns the measured report.
 
-    ``time_scale`` stretches (>1) or compresses (<1) every arrival
-    schedule — compressing is how a fixed trace is pushed past
-    saturation without regenerating it.  Up to ``max_degraded_samples``
+    Up to ``max_degraded_samples``
     approximate kNN replies are recorded verbatim for post-hoc exact
     verification with :func:`verify_degraded`.
     """
@@ -295,13 +291,13 @@ async def run_open_loop(
         raise ValueError("one TenantLoad per tenant, tenants must be unique")
     samples: list = []
     watermark = [0]
-    t_start = clock()
+    t_start = time.monotonic()
     await asyncio.gather(*[
         _drive(frontend, ld, recs[ld.tenant], samples, max_degraded_samples,
-               time_scale, watermark, clock)
+               watermark)
         for ld in loads
     ])
-    duration = clock() - t_start
+    duration = time.monotonic() - t_start
 
     per_tenant: dict[str, TenantReport] = {}
     for name, rec in recs.items():

@@ -49,14 +49,19 @@ def render_trace_line(trt: RequestTrace, width: int = 24) -> str:
     )
 
 
-def render(frontend, *, slowest: int = 5, width: int = 78) -> str:
+#: Frame width in characters, and how many slowest traces a frame lists.
+_WIDTH = 78
+_SLOWEST = 5
+
+
+def render(frontend) -> str:
     """Render one dashboard frame for ``frontend`` as a multi-line string."""
     snap = frontend.snapshot()
     lines = [
         f"repro dash  admission={snap['admission_state']}"
         f"  queued={snap['queue_depth_total']}"
         f"  drain={snap['drain_rate']:.0f} req/s",
-        "-" * width,
+        "-" * _WIDTH,
     ]
 
     slo = snap.get("slo", {})
@@ -87,7 +92,7 @@ def render(frontend, *, slowest: int = 5, width: int = 78) -> str:
                 f" repairs {vs['repairs']:6d}  recomputes {vs['recomputes']:4d}"
             )
     if view_rows:
-        lines.append("-" * width)
+        lines.append("-" * _WIDTH)
         lines.append(f"{'tenant':>10s} {'view':>14s} {'ver':<7s}"
                      f" repairs vs recompute-fallbacks")
         lines.extend(view_rows)
@@ -96,13 +101,13 @@ def render(frontend, *, slowest: int = 5, width: int = 78) -> str:
     if flight:
         by = flight.get("by_reason", {})
         reasons = "  ".join(f"{k} {v}" for k, v in sorted(by.items()))
-        lines.append("-" * width)
+        lines.append("-" * _WIDTH)
         lines.append(
             f"flight: {flight['seen']} seen, {flight['retained']} retained"
             f" ({reasons or 'none'}),"
             f" tail >= {flight['tail_threshold'] * 1e3:.2f}ms"
         )
-        slow = frontend.flight.slowest(slowest) if frontend.flight else []
+        slow = frontend.flight.slowest(_SLOWEST) if frontend.flight else []
         if slow:
             key = "  ".join(f"{g}={p}" for p, g in _PHASE_GLYPHS.items())
             lines.append(f"slowest retained   ({key})")

@@ -172,6 +172,7 @@ class Histogram(_Metric):
         # bucket index -> (labels dict, observed value): the most recent
         # exemplar-carrying observation per bucket (OpenMetrics-style)
         self._exemplars: dict[int, tuple[dict, float]] = {}
+        self._keep = None
 
     def observe(self, v: float, exemplar: dict | None = None) -> None:
         """Record ``v``; ``exemplar`` optionally attaches trace labels
@@ -187,10 +188,12 @@ class Histogram(_Metric):
             if exemplar:
                 self._exemplars[i] = (dict(exemplar), v)
 
-    def exemplars(self) -> dict[int, tuple[dict, float]]:
-        """Bucket index -> (labels, value) of the latest exemplars."""
-        with self._lock:
-            return dict(self._exemplars)
+    def keep_exemplars(self, pred) -> "Histogram":
+        """Expose only the exemplars whose labels satisfy ``pred(labels)``,
+        polled at read time: an exemplar whose trace is gone stops
+        being rendered."""
+        self._keep = pred
+        return self
 
     @property
     def value(self) -> dict:
@@ -204,6 +207,8 @@ class Histogram(_Metric):
             counts = list(self._counts)
             total, s = self._count, self._sum
             ex = dict(self._exemplars)
+        if self._keep is not None:
+            ex = {i: e for i, e in ex.items() if self._keep(e[0])}
         out, cum = {}, 0
         bound_strs = [_fmt(b) for b in self.bounds] + ["+Inf"]
         for bs, c in zip(bound_strs[:-1], counts):

@@ -242,18 +242,18 @@ def current_trace_ids() -> tuple[str, ...] | None:
     return getattr(_tls, "trace_ids", None)
 
 
-def batch_subtree(spans: list[Span], root_name: str = "serve.dispatch"):
+def batch_subtree(spans: list[Span]):
     """The batch span and its descendants from a recorder slice.
 
     ``spans`` is the slice of spans completed during one batch window
     (:meth:`SpanRecorder.spans_since`); concurrent spans from other
     threads are filtered out by descent.  Returns ``(root_sid, subtree)``
     with the subtree in sid order (root first), or ``(None, [])`` when
-    no span named ``root_name`` is in the slice.
+    no ``serve.dispatch`` span is in the slice.
     """
     root = None
     for s in spans:
-        if s.name == root_name and (root is None or s.sid < root.sid):
+        if s.name == "serve.dispatch" and (root is None or s.sid < root.sid):
             root = s
     if root is None:
         return None, []
@@ -319,22 +319,21 @@ class FlightRecorder:
     * ``error``    — the request failed,
     * ``shed``     — typed admission/quota/timeout rejection,
     * ``degraded`` — answered approximately under overload,
-    * ``tail``     — latency in the slowest ``tail_frac`` of the
-      rolling window (:class:`TailSampler`).
+    * ``tail``     — latency in the slowest decile of the rolling
+      window (:class:`TailSampler`).
 
     Everything else costs one lock, one deque append, and a counter —
     the recorder can stay on in production.  Retention is bounded by
     ``capacity`` (oldest retained trace evicted first).
     """
 
-    def __init__(self, capacity: int = 512, *, window: int = 1024,
-                 tail_frac: float = 0.10, registry=None):
+    def __init__(self, capacity: int = 512, *, registry=None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._traces: OrderedDict[str, RequestTrace] = OrderedDict()
-        self._sampler = TailSampler(window=window, tail_frac=tail_frac)
+        self._sampler = TailSampler()
         self.seen = 0
         self._c_seen = self._f_retained = None
         if registry is not None:

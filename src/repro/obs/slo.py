@@ -35,6 +35,9 @@ __all__ = ["Objective", "SLOTracker", "DEFAULT_WINDOWS"]
 #: (label, seconds) burn-rate windows: fast page + slow ticket.
 DEFAULT_WINDOWS = (("5m", 300.0), ("1h", 3600.0))
 
+#: Buckets covering the longest window (60 s each for the 1h window).
+_N_BUCKETS = 60
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -119,13 +122,9 @@ class _WindowCounts:
 class SLOTracker:
     """Scores requests against per-tenant objectives; computes burn rates."""
 
-    def __init__(self, *, windows=DEFAULT_WINDOWS, n_buckets: int = 60,
-                 clock=time.monotonic, registry=None):
-        if not windows:
-            raise ValueError("need at least one burn-rate window")
-        self.windows = tuple((str(lbl), float(sec)) for lbl, sec in windows)
+    def __init__(self, *, clock=time.monotonic, registry=None):
+        self.windows = DEFAULT_WINDOWS
         self._longest = max(sec for _, sec in self.windows)
-        self._n_buckets = int(n_buckets)
         self._clock = clock
         self._lock = threading.Lock()
         self._objectives: dict[str, Objective] = {}
@@ -153,7 +152,7 @@ class SLOTracker:
             for slo in ("latency", "availability"):
                 self._counts.setdefault(
                     (tenant, slo),
-                    _WindowCounts(self._longest, self._n_buckets),
+                    _WindowCounts(self._longest, _N_BUCKETS),
                 )
         if self._g_burn is not None:
             for slo in ("latency", "availability"):
@@ -177,8 +176,7 @@ class SLOTracker:
             return sorted(self._objectives)
 
     # -- recording -----------------------------------------------------
-    def record(self, tenant: str, *, latency: float | None,
-               available: bool = True):
+    def record(self, tenant: str, *, latency: float | None):
         """Score one request.  ``latency=None`` for unanswered requests
         (shed / timeout / error) — they burn the availability budget and
         are excluded from the latency SLI (which is over *answered*
@@ -189,8 +187,8 @@ class SLOTracker:
                 return
             now = self._clock()
             avail = self._counts[(tenant, "availability")]
-            avail.record(now, available and latency is not None)
-            if available and latency is not None:
+            avail.record(now, latency is not None)
+            if latency is not None:
                 lat = self._counts[(tenant, "latency")]
                 lat.record(now, latency <= obj.latency_target)
 
