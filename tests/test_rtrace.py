@@ -626,3 +626,161 @@ class TestServiceAttribution:
             assert c.batch_sid == batch[0].sid
         # each member got its share; shares re-sum to the batch span's work
         assert math.fsum(o.trace.work for o in outs) == batch[0].work
+
+
+# ---------------------------------------------------------------------------
+# metric oracle: every front-end metric is a tally of replies and errors
+# ---------------------------------------------------------------------------
+def _scripted_run(rtrace: bool):
+    """One fake-clock run through every outcome the front end books.
+
+    Returns ``(fe, clk, submitted, replies, errors)``: per tenant, the
+    number of submissions, the replies and the raised errors.
+    """
+    from repro.frontend import Overloaded, QuotaExceeded, RequestTimeout
+
+    clk = FakeClock(1000.0)
+    fe = Frontend(max_batch=64, queue_depth=4, degrade_at=2, reject_at=6,
+                  clock=clk, rtrace=rtrace)
+    pts = _pts(400)
+    fe.register_tenant("dyn", ShardedIndex(pts, 4))
+    fe.register_tenant("kd", KDTree(pts))
+    fe.register_tenant("capped", KDTree(pts), rate=1.0, burst=1.0)
+    qs = _pts(10, seed=21)
+    submitted = {"dyn": 0, "kd": 0, "capped": 0}
+    replies = {name: [] for name in submitted}
+    errors = {name: [] for name in submitted}
+
+    async def one(tenant, coro):
+        submitted[tenant] += 1
+        try:
+            replies[tenant].append(await coro)
+        except Exception as exc:
+            errors[tenant].append(exc)
+
+    async def go():
+        try:
+            await one("kd", fe.knn("kd", qs[0], 3))            # exact
+            await one("kd", fe.knn("kd", qs[0], 3))            # cache hit
+            await one("kd", fe.knn("kd", np.zeros(3), 3))      # bad request
+            await one("dyn", fe.insert("dyn", qs[:8] + 0.5))   # mutation
+            await one("capped", fe.knn("capped", qs[0], 3))    # exact
+            await one("capped", fe.knn("capped", qs[1], 3))    # quota shed
+            # one burst, submitted before the dispatcher runs
+            tasks = [asyncio.ensure_future(one("kd", fe.knn(
+                "kd", qs[1], 3, timeout=60.0)))]               # times out
+            tasks += [asyncio.ensure_future(one("dyn", fe.knn("dyn", q, 3)))
+                      for q in qs[2:7]]     # exact, 3 degraded, depth shed
+            tasks += [asyncio.ensure_future(one("kd", fe.knn("kd", q, 3)))
+                      for q in qs[7:9]]     # exact, admission shed
+            await asyncio.sleep(0)
+            assert fe.pending() == 6
+            clk.advance(100.0)  # past the first request's deadline
+            await asyncio.gather(*tasks)
+        finally:
+            await fe.close()
+
+    asyncio.run(go())
+    kinds = [type(e) for errs in errors.values() for e in errs]
+    assert kinds.count(QuotaExceeded) == 1
+    assert kinds.count(Overloaded) == 2
+    assert kinds.count(RequestTimeout) == 1
+    assert kinds.count(ValueError) == 1
+    assert sum(r.approximate for r in replies["dyn"]) == 3
+    assert sum(r.cache_hit for r in replies["kd"]) == 1
+    return fe, clk, submitted, replies, errors
+
+
+class TestMetricOracle:
+    @pytest.mark.parametrize("rtrace", [True, False])
+    def test_metrics_are_tallies_of_replies_and_errors(self, rtrace):
+        from repro.frontend import Overloaded, QuotaExceeded
+        from repro.obs.registry import Histogram
+
+        fe, clk, submitted, replies, errors = _scripted_run(rtrace)
+        snap = fe.registry.snapshot()
+
+        def fam(name, tenant):
+            return snap[name][f'{{tenant="{tenant}"}}']
+
+        for name in submitted:
+            reps, errs = replies[name], errors[name]
+            assert fam("frontend_requests_total", name) == submitted[name]
+            assert fam("frontend_completed_total", name) == len(reps)
+            assert fam("frontend_cache_hits_total", name) == sum(
+                r.cache_hit for r in reps)
+            assert fam("frontend_degraded_total", name) == sum(
+                r.approximate for r in reps)
+            assert fam("frontend_rejected_total", name) == sum(
+                isinstance(e, Overloaded) for e in errs)
+            assert fam("frontend_quota_rejections_total", name) == sum(
+                isinstance(e, QuotaExceeded) for e in errs)
+            assert fam("frontend_queue_depth", name) == 0
+        assert snap["frontend_admission_state"] == {
+            "normal": 0, "degraded": 1, "overloaded": 2}[fe.admission.state]
+
+        if not rtrace:
+            assert all(r.trace is None for rs in replies.values() for r in rs)
+            assert "frontend_latency_seconds" not in snap
+            assert "frontend_phase_seconds" not in snap
+            return
+
+        target = Objective().latency_target
+        for name in submitted:
+            reps, errs = replies[name], errors[name]
+            # histograms hold exactly the answered requests' records
+            want = Histogram("x", "", fe.registry._lock)
+            for r in reps:
+                want.observe(r.trace.latency)
+            got = fam("frontend_latency_seconds", name)
+            assert got["count"] == len(reps)
+            assert got["buckets"] == want.value["buckets"]
+            assert got["sum"] == pytest.approx(want.value["sum"], rel=1e-9)
+            for p in PHASES:
+                want = Histogram("x", "", fe.registry._lock)
+                for r in reps:
+                    want.observe(r.trace.phases[p])
+                got = snap["frontend_phase_seconds"][
+                    f'{{tenant="{name}",phase="{p}"}}']
+                assert got["count"] == len(reps)
+                assert got["buckets"] == want.value["buckets"]
+            # SLO windows: answered vs not, fast vs slow answers
+            counts = fe.slo._counts
+            for _, sec in fe.slo.windows:
+                assert counts[(name, "availability")].totals(clk(), sec) == (
+                    len(reps), len(errs))
+                fast = sum(r.trace.latency <= target for r in reps)
+                assert counts[(name, "latency")].totals(clk(), sec) == (
+                    fast, len(reps) - fast)
+
+
+# ---------------------------------------------------------------------------
+# exemplars resolve after the flight recorder evicts their traces
+# ---------------------------------------------------------------------------
+def test_exemplars_of_evicted_traces_are_not_rendered():
+    async def go():
+        fe = Frontend(max_batch=64, queue_depth=256, clock=FakeClock(1.0))
+        fe.register_tenant("a", KDTree(_pts(400)))
+        fe.register_tenant("capped", KDTree(_pts(100)), rate=1.0, burst=1.0)
+        shed = 0
+        try:
+            for q in _pts(20, seed=7):
+                await fe.knn("a", q, 4)
+            q = _pts(1)[0]
+            for _ in range(600):
+                try:
+                    await fe.knn("capped", q, 2)
+                except Exception:
+                    shed += 1
+        finally:
+            await fe.close()
+        return fe, shed
+
+    fe, shed = asyncio.run(go())
+    assert shed == 599
+    assert len(fe.flight) == fe.flight.capacity
+    ex_ids = [line.split('trace_id="')[1].split('"')[0]
+              for line in fe.metrics_text().splitlines()
+              if "# {trace_id=" in line]
+    assert all(fe.flight.lookup(tid) is not None for tid in ex_ids), (
+        "an exemplar names a trace the flight recorder evicted")
