@@ -19,6 +19,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -560,11 +561,16 @@ def cmd_load_bench(args) -> int:
     if args.trace_out:
         from .obs.rtrace import validate_request_trace, write_flight_trace
 
-        retained = fe.flight.retained() if fe.flight is not None else []
+        retained = fe.flight.retained()
         problems = [
             (t.trace_id, p)
             for t in retained for p in validate_request_trace(t)
         ]
+        # every exemplar in the exposition must name a retained trace
+        ex_ids = re.findall(r'# \{trace_id="(\w+)"\}', fe.metrics_text())
+        problems += [(tid, "exemplar names no retained trace")
+                     for tid in ex_ids if fe.flight.lookup(tid) is None]
+        print(f"{len(ex_ids)} exemplars in the metrics exposition")
         obj = write_flight_trace(args.trace_out, retained,
                                  name="repro load-bench")
         print(f"wrote {len(retained)} retained request traces "
@@ -574,7 +580,7 @@ def cmd_load_bench(args) -> int:
             for tid, p in problems[:10]:
                 print(f"invalid trace {tid}: {p}", file=sys.stderr)
             print(f"error: {len(problems)} validation problem(s) in "
-                  f"retained traces", file=sys.stderr)
+                  f"retained traces and exemplars", file=sys.stderr)
             return 1
     return 0
 
@@ -889,7 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the full load report as JSON")
     lb.add_argument("--trace-out", metavar="PATH",
                     help="dump the flight recorder's retained request "
-                    "traces (validated) as a Perfetto-loadable timeline")
+                    "traces (validated, as are the metrics' exemplars) as "
+                    "a Perfetto-loadable timeline")
     lb.set_defaults(fn=cmd_load_bench)
 
     da = sub.add_parser(
