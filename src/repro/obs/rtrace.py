@@ -324,7 +324,10 @@ class FlightRecorder:
 
     Everything else costs one lock, one deque append, and a counter —
     the recorder can stay on in production.  Retention is bounded by
-    ``capacity`` (oldest retained trace evicted first).
+    ``capacity`` (oldest retained trace evicted first); the tail
+    threshold is a default :class:`TailSampler`'s (the slowest decile
+    of the last 1024 completions).  Exemplars naming an evicted trace
+    stop being exposed (:meth:`~repro.obs.registry.Histogram.keep_exemplars`).
     """
 
     def __init__(self, capacity: int = 512, *, registry=None):

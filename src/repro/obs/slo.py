@@ -7,7 +7,7 @@ requests answered at all — shed, timed-out, and errored requests are
 unavailable).  The :class:`SLOTracker` scores every completed or
 rejected request against the tenant's objective and maintains
 time-bucketed good/bad counters so **burn rate** can be computed over
-multiple windows (5 minutes and 1 hour by default)::
+two windows, 5 minutes and 1 hour::
 
     burn = (bad / total within window) / (1 - target)
 
@@ -120,7 +120,13 @@ class _WindowCounts:
 
 
 class SLOTracker:
-    """Scores requests against per-tenant objectives; computes burn rates."""
+    """Scores requests against per-tenant objectives; computes burn rates.
+
+    Burn rates are kept over the :data:`DEFAULT_WINDOWS` (5m and 1h),
+    answered from one 60-bucket ring per tenant and SLO.  The front end
+    scores each request once, when :meth:`Frontend._finish
+    <repro.frontend.frontend.Frontend._finish>` closes its record.
+    """
 
     def __init__(self, *, clock=time.monotonic, registry=None):
         self.windows = DEFAULT_WINDOWS

@@ -416,16 +416,27 @@ class TestSharedMemoryLifecycle:
     @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
     def test_no_resource_tracker_warnings_in_subprocess(self, start_method):
         """End to end in a clean interpreter: run the workload, exit,
-        and assert the resource tracker stayed silent and /dev/shm
-        came back clean.  Workers share the parent's resource tracker
-        under every start method, so none may unregister a segment."""
+        and assert the resource tracker stayed silent and none of the
+        segments the child created is left in /dev/shm.  Workers share
+        the parent's resource tracker under every start method, so none
+        may unregister a segment.  Only the child's own segments are
+        checked: another process creating segments meanwhile is not a
+        leak."""
         import subprocess
         import sys
 
         code = (
             "import numpy as np\n"
+            "from multiprocessing import shared_memory\n"
             "from repro.cluster import ShardedIndex\n"
             "from repro.parlay.scheduler import use_backend\n"
+            "made = []\n"
+            "init = shared_memory.SharedMemory.__init__\n"
+            "def record(self, *a, **kw):\n"
+            "    init(self, *a, **kw)\n"
+            "    if kw.get('create'):\n"
+            "        made.append(self.name)\n"
+            "shared_memory.SharedMemory.__init__ = record\n"
             "rng = np.random.default_rng(0)\n"
             "idx = ShardedIndex(rng.normal(size=(600, 2)), 3)\n"
             "with use_backend('processes', 2):\n"
@@ -433,8 +444,8 @@ class TestSharedMemoryLifecycle:
             "    idx.insert(rng.normal(size=(100, 2)))\n"
             "    idx.knn(rng.normal(size=(40, 2)), 3)\n"
             "    idx.range_query_box_batch([[-1.0, -1.0]], [[1.0, 1.0]])\n"
+            "print(' '.join(made))\n"
         )
-        before = _shm_segments()
         env = dict(os.environ, PYTHONPATH="src",
                    REPRO_PROC_START_METHOD=start_method)
         proc = subprocess.run(
@@ -445,4 +456,6 @@ class TestSharedMemoryLifecycle:
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
-        assert _shm_segments() - before == set()
+        made = proc.stdout.split()
+        assert made, "the child created no shared-memory segment"
+        assert _shm_segments() & {f"/dev/shm/{n}" for n in made} == set()
