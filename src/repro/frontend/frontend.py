@@ -179,15 +179,13 @@ class Frontend:
     clock:
         Injectable monotonic clock (tests drive quotas deterministically).
     rtrace:
-        Request tracing: give each request's record a trace id, return
-        it as :attr:`Reply.trace`, feed the always-on tail-sampling
-        flight recorder (512 records, the slowest decile) and the
-        per-tenant SLO tracker, and publish latency and phase
-        histograms with exemplar trace ids.  On by default;
-        ``rtrace=False`` is the baseline the ``BENCH_rtrace.json`` gate
-        compares against.  Either way every request gets one
-        :class:`~repro.obs.rtrace.RequestTrace`, closed and booked by
-        ``_finish``: the per-tenant counters are read off it.
+        Request tracing: give each request's
+        :class:`~repro.obs.rtrace.RequestTrace` (minted either way; the
+        per-tenant counters are read off it) a trace id, return it as
+        :attr:`Reply.trace`, feed the tail-sampling flight recorder (512
+        records, the slowest decile) and the SLO tracker, and publish
+        latency and phase histograms with exemplar trace ids.  On by
+        default; ``rtrace=False`` is the ``BENCH_rtrace.json`` baseline.
     """
 
     def __init__(
@@ -338,16 +336,11 @@ class Frontend:
         t.m_rejected = self._c_rejected.labels(name)
         t.m_quota = self._c_quota.labels(name)
         if self._rtrace:
-            # exemplars name retained traces only; one the recorder has
-            # evicted since is dropped from the exposition
-            def resolves(ex):
+            def kept(ex):  # hide exemplars whose trace the recorder evicted
                 return self.flight.lookup(ex["trace_id"]) is not None
-
-            t.m_latency = self._h_latency.labels(name).keep_exemplars(resolves)
-            t.m_phase = {
-                p: self._h_phase.labels(name, p).keep_exemplars(resolves)
-                for p in PHASES
-            }
+            t.m_latency = self._h_latency.labels(name).keep_exemplars(kept)
+            t.m_phase = {p: self._h_phase.labels(name, p).keep_exemplars(kept)
+                         for p in PHASES}
         self._tenants[name] = t
         self._sched.add(name, weight)
         self._g_depth.labels(name).set_function(lambda t=t: len(t.queue))
@@ -487,12 +480,10 @@ class Frontend:
         degraded and mutation paths) and a cache hit's post-queue time,
         with ``dispatch`` the residual (:meth:`_phase_split`); a shed or
         timed-out request spent its whole latency queued.  The tenant's
-        counters are read off the closed record (completed, cache hits,
-        degraded, shed, and quota sheds by the error the record
-        carries); with request tracing on the record is also offered to
-        the flight recorder and scored in the latency / phase
-        histograms and the SLO tracker.  Returns the record as the
-        reply's ``trace``, or None with request tracing off.
+        counters are read off the closed record; with request tracing on
+        it is also offered to the flight recorder and scored in the
+        latency / phase histograms and the SLO tracker.  Returns the
+        reply's ``trace``: the record, or None with tracing off.
         """
         latency = self._clock() - trt.t_start
         trt.latency = latency

@@ -49,9 +49,7 @@ def render_trace_line(trt: RequestTrace, width: int = 24) -> str:
     )
 
 
-#: Frame width in characters, and how many slowest traces a frame lists.
-_WIDTH = 78
-_SLOWEST = 5
+_WIDTH = 78  #: frame width in characters
 
 
 def render(frontend) -> str:
@@ -107,7 +105,7 @@ def render(frontend) -> str:
             f" ({reasons or 'none'}),"
             f" tail >= {flight['tail_threshold'] * 1e3:.2f}ms"
         )
-        slow = frontend.flight.slowest(_SLOWEST) if frontend.flight else []
+        slow = frontend.flight.slowest(5) if frontend.flight else []
         if slow:
             key = "  ".join(f"{g}={p}" for p, g in _PHASE_GLYPHS.items())
             lines.append(f"slowest retained   ({key})")

@@ -190,8 +190,7 @@ class Histogram(_Metric):
 
     def keep_exemplars(self, pred) -> "Histogram":
         """Expose only the exemplars whose labels satisfy ``pred(labels)``,
-        polled at read time: an exemplar whose trace is gone stops
-        being rendered."""
+        checked at read time (an exemplar whose trace is gone is hidden)."""
         self._keep = pred
         return self
 

@@ -324,10 +324,8 @@ class FlightRecorder:
 
     Everything else costs one lock, one deque append, and a counter —
     the recorder can stay on in production.  Retention is bounded by
-    ``capacity`` (oldest retained trace evicted first); the tail
-    threshold is a default :class:`TailSampler`'s (the slowest decile
-    of the last 1024 completions).  Exemplars naming an evicted trace
-    stop being exposed (:meth:`~repro.obs.registry.Histogram.keep_exemplars`).
+    ``capacity`` (oldest retained trace evicted first); the tail is the
+    slowest decile of the last 1024 completions (:class:`TailSampler`).
     """
 
     def __init__(self, capacity: int = 512, *, registry=None):

@@ -35,9 +35,6 @@ __all__ = ["Objective", "SLOTracker", "DEFAULT_WINDOWS"]
 #: (label, seconds) burn-rate windows: fast page + slow ticket.
 DEFAULT_WINDOWS = (("5m", 300.0), ("1h", 3600.0))
 
-#: Buckets covering the longest window (60 s each for the 1h window).
-_N_BUCKETS = 60
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -120,13 +117,8 @@ class _WindowCounts:
 
 
 class SLOTracker:
-    """Scores requests against per-tenant objectives; computes burn rates.
-
-    Burn rates are kept over the :data:`DEFAULT_WINDOWS` (5m and 1h),
-    answered from one 60-bucket ring per tenant and SLO.  The front end
-    scores each request once, when :meth:`Frontend._finish
-    <repro.frontend.frontend.Frontend._finish>` closes its record.
-    """
+    """Scores requests against per-tenant objectives; computes burn
+    rates over the :data:`DEFAULT_WINDOWS` from one 60-bucket ring."""
 
     def __init__(self, *, clock=time.monotonic, registry=None):
         self.windows = DEFAULT_WINDOWS
@@ -158,7 +150,7 @@ class SLOTracker:
             for slo in ("latency", "availability"):
                 self._counts.setdefault(
                     (tenant, slo),
-                    _WindowCounts(self._longest, _N_BUCKETS),
+                    _WindowCounts(self._longest, 60),
                 )
         if self._g_burn is not None:
             for slo in ("latency", "availability"):
