@@ -10,12 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ShardedIndex
-from repro.frontend import Frontend
+from repro.frontend import (
+    Frontend,
+    Overloaded,
+    QuotaExceeded,
+    RequestTimeout,
+)
 from repro.frontend.load import TenantLoad, run_open_loop
 from repro.kdtree import KDTree
 from repro.kdtree.batch import execute_requests
 from repro.obs import dash
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.rtrace import (
     PHASES,
     FlightRecorder,
@@ -637,8 +642,6 @@ def _scripted_run(rtrace: bool):
     Returns ``(fe, clk, submitted, replies, errors)``: per tenant, the
     number of submissions, the replies and the raised errors.
     """
-    from repro.frontend import Overloaded, QuotaExceeded, RequestTimeout
-
     clk = FakeClock(1000.0)
     fe = Frontend(max_batch=64, queue_depth=4, degrade_at=2, reject_at=6,
                   clock=clk, rtrace=rtrace)
@@ -694,9 +697,6 @@ def _scripted_run(rtrace: bool):
 class TestMetricOracle:
     @pytest.mark.parametrize("rtrace", [True, False])
     def test_metrics_are_tallies_of_replies_and_errors(self, rtrace):
-        from repro.frontend import Overloaded, QuotaExceeded
-        from repro.obs.registry import Histogram
-
         fe, clk, submitted, replies, errors = _scripted_run(rtrace)
         snap = fe.registry.snapshot()
 
